@@ -5,7 +5,6 @@
 #   python demos/02_products_and_closed_forms.py
 
 from lexiconn import (
-    ProductIndex,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -24,10 +23,9 @@ from lexiconn import (
 # are row-major: copy j inside left vertex i is i * m + j.
 c4, k2 = cycle_graph(4), complete_graph(2)
 product = lex_product(c4, k2)
-idx = ProductIndex(c4.n, k2.n)
 print(f"C4 o K2: {product.n} vertices, {product.num_edges} edges "
       f"(= 4*1 + 4*2^2 = {4 * 1 + 4 * 4})")
-print("vertex (2,1) is flat id", idx.flat(2, 1), "and id 5 splits back to", idx.split(5))
+print("vertex (2,1) is flat id", 2 * k2.n + 1, "and id 5 splits back to", divmod(5, k2.n))
 
 # Connectivity multiplies: kappa(G1 o G2) = kappa(G1) * |V(G2)| whenever
 # the left factor is connected and not complete.

@@ -12,13 +12,7 @@ import argparse
 import json
 import sys
 
-from .cuts import (
-    is_super_connected,
-    k1_connectivity,
-    minimum_k1_cut,
-    scan_cuts,
-    vertex_connectivity_oracle,
-)
+from .cuts import is_super_connected, scan_cuts, vertex_connectivity_oracle
 from .graphs import Graph, isolated_vertices, min_degree, vertex_connectivity
 from .harness import THEOREM_IDS, InstanceFamily, VerificationReport, verify_theorem
 from .io import GraphParseError, load_graph, serialize_graph6
@@ -126,18 +120,19 @@ def _cmd_compute(args) -> int:
         raise _UsageError("no invariants requested")
     g = _load(args.graph, args.format_in)
     pairs: list[tuple[str, object]] = []
+    scan = None  # one subset sweep serves k_cut, k1 and k1_cut
     try:
         for name in names:
             if name == "k":
                 pairs.append(("k", vertex_connectivity(g)))
                 if args.witness:
-                    scan = scan_cuts(g)
+                    scan = scan or scan_cuts(g)
                     pairs.append(("k_cut", list(scan.kappa_cut)))
             elif name == "k1":
-                value = k1_connectivity(g)
-                pairs.append(("k1", value.to_json()))
+                scan = scan or scan_cuts(g)
+                pairs.append(("k1", scan.k1.to_json()))
                 if args.witness:
-                    cut = minimum_k1_cut(g)
+                    cut = scan.k1_cut
                     pairs.append(("k1_cut", list(cut) if cut is not None else None))
             elif name == "super":
                 pairs.append(("super", is_super_connected(g)))

@@ -15,14 +15,18 @@ size of such a cut is the k1 connectivity, infinite when no such cut
 exists. A graph is super connected when every minimum vertex cut isolates
 some vertex.
 
-Enumeration order is always by subset size, then lexicographic, so the
-first hit is a minimum and every result is reproducible.
+Every oracle and predicate here runs on one private kernel,
+``_vertex_cuts``, which holds the module's only flood fill. The rule is
+"enumerate by size then lex, first hit wins": subsets are visited by
+size, then in lexicographic order, so the first hit is a minimum and
+every result is reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from typing import Iterator
 
 from .graphs import INFINITY, ExtendedNat, Graph, is_complete, is_connected, vertex_set
 
@@ -72,21 +76,6 @@ class CutScan:
     k1_cut: tuple[int, ...] | None
 
 
-def _flood(adj_bits, rem: int) -> int:
-    """Bitmask of the component of the lowest set bit of ``rem``."""
-    comp = rem & -rem
-    frontier = comp
-    while frontier:
-        reach = 0
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            reach |= adj_bits[b.bit_length() - 1]
-        frontier = reach & rem & ~comp
-        comp |= frontier
-    return comp
-
-
 def _isolated_mask(adj_bits, rem: int) -> int:
     mask = 0
     r = rem
@@ -107,22 +96,49 @@ def _bits_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _removal_state(g: Graph, removed: int) -> tuple[int, bool, bool]:
-    """(remaining mask, disconnects, reduces to a single vertex)."""
-    rem = ((1 << g.n) - 1) ^ removed
-    if rem == 0:
-        return 0, False, False
-    comp = _flood(g.adj_bits, rem)
-    if comp != rem:
-        return rem, True, False
-    return rem, False, rem & (rem - 1) == 0
+def _vertex_cuts(g: Graph, subsets) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+    """The enumeration kernel: every oracle and predicate here runs on it.
+
+    For each subset, in the order given, whose removal is a vertex cut of
+    ``g``, yields (subset, remaining mask, disconnects); a cut that does
+    not disconnect leaves exactly one vertex. Removing every vertex is not
+    a cut and is never yielded.
+    """
+    bits = g.adj_bits
+    full = (1 << g.n) - 1
+    for subset in subsets:
+        removed = 0
+        for v in subset:
+            removed |= 1 << v
+        rem = full ^ removed
+        if not rem:
+            continue
+        comp = rem & -rem
+        frontier = comp
+        while frontier:
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                reach |= bits[b.bit_length() - 1]
+            frontier = reach & rem & ~comp
+            comp |= frontier
+        if comp != rem:
+            yield subset, rem, True
+        elif rem & (rem - 1) == 0:
+            yield subset, rem, False
 
 
-def _mask_of(cut: tuple[int, ...]) -> int:
-    mask = 0
-    for v in cut:
-        mask |= 1 << v
-    return mask
+def _certificate(g: Graph, cut, rem: int, disconnects: bool, is_minimum: bool) -> CutCertificate:
+    """The certificate of a cut the kernel yielded; ``rem`` 0 records a
+    subset that is not a cut, which neither trivializes nor isolates."""
+    return CutCertificate(
+        cut=cut,
+        disconnects=disconnects,
+        reduces_to_trivial=bool(rem) and not disconnects,
+        isolated_after=_bits_to_tuple(_isolated_mask(g.adj_bits, rem)),
+        is_minimum=is_minimum,
+    )
 
 
 def is_vertex_cut(g: Graph, cut) -> bool:
@@ -133,8 +149,7 @@ def is_vertex_cut(g: Graph, cut) -> bool:
     if g.n == 0:
         raise ValueError("the empty graph has no cuts")
     cut = vertex_set(cut, n=g.n)
-    _, disconnects, trivial = _removal_state(g, _mask_of(cut))
-    return disconnects or trivial
+    return next(_vertex_cuts(g, (cut,)), None) is not None
 
 
 def is_k1_vertex_cut(g: Graph, cut) -> bool:
@@ -142,8 +157,9 @@ def is_k1_vertex_cut(g: Graph, cut) -> bool:
     if g.n == 0:
         raise ValueError("the empty graph has no cuts")
     cut = vertex_set(cut, n=g.n)
-    rem, disconnects, _ = _removal_state(g, _mask_of(cut))
-    return disconnects and _isolated_mask(g.adj_bits, rem) == 0
+    for _, rem, disconnects in _vertex_cuts(g, (cut,)):
+        return disconnects and not _isolated_mask(g.adj_bits, rem)
+    return False
 
 
 def cut_certificate(g: Graph, cut, kappa: int | None = None) -> CutCertificate:
@@ -153,88 +169,55 @@ def cut_certificate(g: Graph, cut, kappa: int | None = None) -> CutCertificate:
     ran the connectivity oracle; otherwise the oracle runs here.
     """
     cut = vertex_set(cut, n=g.n)
-    rem, disconnects, trivial = _removal_state(g, _mask_of(cut))
     if kappa is None:
         kappa = vertex_connectivity_oracle(g)
-    return CutCertificate(
-        cut=cut,
-        disconnects=disconnects,
-        reduces_to_trivial=trivial,
-        isolated_after=_bits_to_tuple(_isolated_mask(g.adj_bits, rem)),
-        is_minimum=(disconnects or trivial) and len(cut) == kappa,
-    )
+    for _, rem, disconnects in _vertex_cuts(g, (cut,)):
+        return _certificate(g, cut, rem, disconnects, is_minimum=len(cut) == kappa)
+    # not a cut: nothing remains, or a connected graph on two or more
+    # vertices, which has no isolated vertex
+    return _certificate(g, cut, 0, False, is_minimum=False)
 
 
 def _sweep(g: Graph, need_k1: bool):
     """One pass over subsets by size then lex order.
 
-    Returns (kappa, kappa_cut, k1, k1_cut) with k1 fields None when absent
-    or not requested. A k1 cut leaves at least two components of at least
-    two vertices each, so sizes above n - 4 are never scanned for it.
+    Returns (kappa_cut, k1_cut), k1_cut None when absent or not requested.
+    A k1 cut leaves at least two components of at least two vertices each,
+    so sizes above n - 4 are never scanned for it.
     """
     n = g.n
     if n == 0:
         raise ValueError("the empty graph has no cuts")
-    bits = g.adj_bits
-    full = (1 << n) - 1
-    kappa = kappa_cut = None
-    k1 = k1_cut = None
     k1_bound = n - 4 if need_k1 else -1
+    kappa_cut = k1_cut = None
     for size in range(n):
-        if kappa is not None and (not need_k1 or k1 is not None or size > k1_bound):
-            break
-        for combo in combinations(range(n), size):
-            removed = 0
-            for v in combo:
-                removed |= 1 << v
-            rem = full ^ removed
-            comp = rem & -rem
-            frontier = comp
-            while frontier:
-                reach = 0
-                while frontier:
-                    b = frontier & -frontier
-                    frontier ^= b
-                    reach |= bits[b.bit_length() - 1]
-                frontier = reach & rem & ~comp
-                comp |= frontier
-            if comp == rem:
-                # connected remainder: a cut only in the single-vertex case
-                if rem & (rem - 1) == 0 and kappa is None:
-                    kappa, kappa_cut = size, combo
-            else:
-                if kappa is None:
-                    kappa, kappa_cut = size, combo
-                if need_k1 and k1 is None and size <= k1_bound:
-                    isolated = False
-                    r = rem
-                    while r:
-                        b = r & -r
-                        r ^= b
-                        if not bits[b.bit_length() - 1] & rem:
-                            isolated = True
-                            break
-                    if not isolated:
-                        k1, k1_cut = size, combo
-            if kappa is not None and (not need_k1 or k1 is not None or size > k1_bound):
+        for cut, rem, disconnects in _vertex_cuts(g, combinations(range(n), size)):
+            if kappa_cut is None:
+                kappa_cut = cut
+            if size > k1_bound:
                 break
-    return kappa, kappa_cut, k1, k1_cut
+            if disconnects and not _isolated_mask(g.adj_bits, rem):
+                k1_cut = cut
+                break
+        if kappa_cut is not None and (k1_cut is not None or size >= k1_bound):
+            break
+    return kappa_cut, k1_cut
 
 
 def scan_cuts(g: Graph) -> CutScan:
     """Run the combined connectivity / k1-connectivity sweep once."""
-    kappa, kappa_cut, k1, k1_cut = _sweep(g, need_k1=True)
+    kappa_cut, k1_cut = _sweep(g, need_k1=True)
     return CutScan(
-        kappa=kappa,
-        kappa_cut=tuple(kappa_cut),
-        k1=ExtendedNat(k1) if k1 is not None else INFINITY,
-        k1_cut=tuple(k1_cut) if k1_cut is not None else None,
+        kappa=len(kappa_cut),
+        kappa_cut=kappa_cut,
+        k1=ExtendedNat(len(k1_cut)) if k1_cut is not None else INFINITY,
+        k1_cut=k1_cut,
     )
 
 
 def vertex_connectivity_oracle(g: Graph) -> int:
     """Connectivity by plain subset enumeration, smallest size first."""
-    return _sweep(g, need_k1=False)[0]
+    return len(_sweep(g, need_k1=False)[0])
 
 
 def k1_connectivity(g: Graph) -> ExtendedNat:
@@ -254,27 +237,31 @@ def _require_connected_non_complete(g: Graph, what: str) -> None:
         raise ValueError(f"{what} requires a non-complete graph")
 
 
+def _least_isolating(g: Graph, sizes) -> tuple[tuple[int, ...], int, bool, int]:
+    """(cut, remaining mask, disconnects, isolated count) of the first cut
+    over ``sizes`` leaving the fewest isolated vertices; stops at a cut
+    leaving none. Connected non-complete graphs always have a cut."""
+    best = None
+    subsets = chain.from_iterable(combinations(range(g.n), size) for size in sizes)
+    for cut, rem, disconnects in _vertex_cuts(g, subsets):
+        count = bin(_isolated_mask(g.adj_bits, rem)).count("1")
+        if best is None or count < best[3]:
+            best = (cut, rem, disconnects, count)
+            if count == 0:
+                break
+    return best
+
+
 def enumerate_min_vertex_cuts(g: Graph, kappa: int | None = None) -> list[CutCertificate]:
     """All minimum vertex cuts of a connected non-complete graph, in
     lexicographic order, each with fully populated flags."""
     _require_connected_non_complete(g, "minimum-cut enumeration")
     if kappa is None:
         kappa = vertex_connectivity_oracle(g)
-    certs = []
-    for combo in combinations(range(g.n), kappa):
-        rem, disconnects, trivial = _removal_state(g, _mask_of(combo))
-        if not (disconnects or trivial):
-            continue
-        certs.append(
-            CutCertificate(
-                cut=combo,
-                disconnects=disconnects,
-                reduces_to_trivial=trivial,
-                isolated_after=_bits_to_tuple(_isolated_mask(g.adj_bits, rem)),
-                is_minimum=True,
-            )
-        )
-    return certs
+    return [
+        _certificate(g, cut, rem, disconnects, is_minimum=True)
+        for cut, rem, disconnects in _vertex_cuts(g, combinations(range(g.n), kappa))
+    ]
 
 
 def find_non_isolating_min_cut(g: Graph, kappa: int | None = None) -> tuple[int, ...] | None:
@@ -286,11 +273,9 @@ def find_non_isolating_min_cut(g: Graph, kappa: int | None = None) -> tuple[int,
     _require_connected_non_complete(g, "super-connectivity testing")
     if kappa is None:
         kappa = vertex_connectivity_oracle(g)
-    for combo in combinations(range(g.n), kappa):
-        rem, disconnects, _ = _removal_state(g, _mask_of(combo))
-        if disconnects and _isolated_mask(g.adj_bits, rem) == 0:
-            return combo
-    return None
+    # leaving no isolated vertex implies disconnecting: a one-vertex remainder is isolated
+    cut, _, _, count = _least_isolating(g, (kappa,))
+    return cut if count == 0 else None
 
 
 def is_super_connected(g: Graph) -> bool:
@@ -315,28 +300,8 @@ def select_optimal_min_cut(g: Graph, kappa: int | None = None) -> tuple[CutCerti
     _require_connected_non_complete(g, "optimal-cut selection")
     if kappa is None:
         kappa = vertex_connectivity_oracle(g)
-    best: tuple[int, ...] | None = None
-    best_state = None
-    best_count = -1
-    for combo in combinations(range(g.n), kappa):
-        rem, disconnects, trivial = _removal_state(g, _mask_of(combo))
-        if not (disconnects or trivial):
-            continue
-        count = bin(_isolated_mask(g.adj_bits, rem)).count("1")
-        if best is None or count < best_count:
-            best, best_state, best_count = combo, (rem, disconnects, trivial), count
-            if count == 0:
-                break
-    assert best is not None  # connected non-complete graphs always have cuts
-    rem, disconnects, trivial = best_state
-    cert = CutCertificate(
-        cut=best,
-        disconnects=disconnects,
-        reduces_to_trivial=trivial,
-        isolated_after=_bits_to_tuple(_isolated_mask(g.adj_bits, rem)),
-        is_minimum=True,
-    )
-    return cert, best_count
+    cut, rem, disconnects, count = _least_isolating(g, (kappa,))
+    return _certificate(g, cut, rem, disconnects, is_minimum=True), count
 
 
 def least_isolating_cut(g: Graph) -> tuple[tuple[int, ...], int]:
@@ -348,17 +313,5 @@ def least_isolating_cut(g: Graph) -> tuple[tuple[int, ...], int]:
     small left factors the verification harness feeds it.
     """
     _require_connected_non_complete(g, "optimal-cut selection")
-    best_cut: tuple[int, ...] | None = None
-    best_count = -1
-    for size in range(g.n):
-        for combo in combinations(range(g.n), size):
-            rem, disconnects, trivial = _removal_state(g, _mask_of(combo))
-            if not (disconnects or trivial):
-                continue
-            count = bin(_isolated_mask(g.adj_bits, rem)).count("1")
-            if best_cut is None or count < best_count:
-                best_cut, best_count = combo, count
-                if count == 0:
-                    return best_cut, best_count
-    assert best_cut is not None
-    return best_cut, best_count
+    cut, _, _, count = _least_isolating(g, range(g.n))
+    return cut, count

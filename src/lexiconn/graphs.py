@@ -8,9 +8,11 @@ so graphs can be shared freely between threads.
 from __future__ import annotations
 
 from collections import deque
+from functools import total_ordering
 from typing import Iterable
 
 
+@total_ordering
 class ExtendedNat:
     """A non-negative integer extended with a single infinite value.
 
@@ -42,14 +44,10 @@ class ExtendedNat:
             raise ValueError("infinite ExtendedNat has no finite value")
         return self._value
 
-    def _coerce(self, other):
-        if isinstance(other, bool):
-            return None
-        if isinstance(other, int):
-            return other
-        if isinstance(other, ExtendedNat):
-            return other._value
-        return None
+    @staticmethod
+    def _coerce(other):
+        """The finite value of an int or ExtendedNat, None for infinity."""
+        return other._value if isinstance(other, ExtendedNat) else other
 
     def __eq__(self, other) -> bool:
         if isinstance(other, bool) or not isinstance(other, (int, ExtendedNat)):
@@ -65,24 +63,6 @@ class ExtendedNat:
         if o is None:
             return True
         return self._value < o
-
-    def __le__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return NotImplemented
-        return eq or self.__lt__(other)
-
-    def __gt__(self, other):
-        le = self.__le__(other)
-        if le is NotImplemented:
-            return NotImplemented
-        return not le
-
-    def __ge__(self, other):
-        lt = self.__lt__(other)
-        if lt is NotImplemented:
-            return NotImplemented
-        return not lt
 
     def __hash__(self):
         return hash(self._value) if self._value is not None else hash("infinity")

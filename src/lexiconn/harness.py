@@ -28,13 +28,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
-from .cuts import (
-    CutCertificate,
-    CutScan,
-    cut_certificate,
-    find_non_isolating_min_cut,
-    scan_cuts,
-)
+from .cuts import CutCertificate, CutScan, cut_certificate, scan_cuts
 from .graphs import ExtendedNat, Graph, is_complete, is_connected, isolated_vertices
 from .io import parse_graph6, serialize_graph6
 from .lexprod import READINGS, k1_product_formula, lex_connectivity, lex_product
@@ -254,7 +248,10 @@ def _super_for(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
         elif is_complete(g):
             hit = (True, None)
         else:
-            refuting = find_non_isolating_min_cut(g, kappa=_scan_for(g).kappa)
+            # a non-isolating minimum cut is exactly a k1 cut of size kappa,
+            # and the scan holds the lexicographically first one
+            scan = _scan_for(g)
+            refuting = scan.k1_cut if scan.k1 == scan.kappa else None
             hit = (refuting is None, refuting)
         _SUPER_MEMO[key] = hit
     return hit

@@ -1,6 +1,7 @@
 """Reading and writing graphs.
 
-Two formats are supported: a line-oriented edge list and graph6.
+Two formats are supported: a line-oriented edge list and graph6. Both
+stop at MAX_VERTICES, the largest vertex count graph6 can encode.
 
 Edge list: a header line "n m" followed by m lines "u v" with
 0 <= u, v < n and u != v. Lines starting with '#' and blank lines are
@@ -17,6 +18,9 @@ from __future__ import annotations
 import os
 
 from .graphs import Graph
+
+
+MAX_VERTICES = 258047
 
 
 class GraphParseError(ValueError):
@@ -41,6 +45,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: header must be two integers, got {line!r}") from None
             if n < 0 or m < 0:
                 raise GraphParseError(f"line {lineno}: header values must be non-negative")
+            if n > MAX_VERTICES:
+                raise GraphParseError(f"line {lineno}: at most {MAX_VERTICES} vertices are supported, got {n}")
             header = (n, m)
             header_line = lineno
             continue
@@ -80,9 +86,9 @@ _G6_HEADER = ">>graph6<<"
 def _g6_encode_count(n: int) -> str:
     if n <= 62:
         return chr(63 + n)
-    if n <= 258047:
+    if n <= MAX_VERTICES:
         return "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
-    raise ValueError(f"graph6 supports at most 258047 vertices here, got {n}")
+    raise ValueError(f"graph6 supports at most {MAX_VERTICES} vertices here, got {n}")
 
 
 def serialize_graph6(g: Graph) -> str:
@@ -118,7 +124,7 @@ def parse_graph6(text: str) -> Graph:
         vals.append(v)
     if vals[0] == 63:
         if len(vals) >= 2 and vals[1] == 63:
-            raise GraphParseError("graph6 vertex counts above 258047 are not supported")
+            raise GraphParseError(f"graph6 vertex counts above {MAX_VERTICES} are not supported")
         if len(vals) < 4:
             raise GraphParseError("truncated graph6 vertex count")
         n = (vals[1] << 12) | (vals[2] << 6) | vals[3]

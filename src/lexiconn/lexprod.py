@@ -35,14 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cuts import (
+    CutScan,
     is_k1_vertex_cut,
+    is_super_connected,
     is_vertex_cut,
-    k1_connectivity,
     least_isolating_cut,
-    minimum_k1_cut,
     scan_cuts,
     select_optimal_min_cut,
-    is_super_connected,
 )
 from .graphs import (
     ExtendedNat,
@@ -55,32 +54,6 @@ from .graphs import (
 )
 
 READINGS = ("min_cuts_only", "all_cuts")
-
-
-@dataclass(frozen=True)
-class ProductIndex:
-    """Row-major pairing between (left, right) coordinates and flat ids."""
-
-    n1: int
-    m: int
-
-    def __post_init__(self):
-        if self.n1 < 1 or self.m < 1:
-            raise ValueError("product factors must have at least one vertex")
-
-    @property
-    def size(self) -> int:
-        return self.n1 * self.m
-
-    def flat(self, i: int, j: int) -> int:
-        if not (0 <= i < self.n1 and 0 <= j < self.m):
-            raise ValueError(f"coordinate ({i}, {j}) out of range")
-        return i * self.m + j
-
-    def split(self, v: int) -> tuple[int, int]:
-        if not 0 <= v < self.size:
-            raise ValueError(f"flat id {v} out of range")
-        return divmod(v, self.m)
 
 
 @dataclass(frozen=True)
@@ -180,15 +153,9 @@ def lex_connectivity(g1: Graph, g2: Graph) -> int:
     return vertex_connectivity(g1) * g2.n
 
 
-def k1_product_formula(g1: Graph, g2: Graph, reading: str = "min_cuts_only") -> tuple[ExtendedNat, str]:
-    """Raw closed-form k1 value for the product, with its branch label.
-
-    No witness is built or checked here; this is the formula side the
-    verification harness compares against the oracle. ``reading`` selects
-    the quantifier for the isolation count: "min_cuts_only" minimizes the
-    leftover isolated vertices over minimum cuts of the left factor,
-    "all_cuts" minimizes over vertex cuts of every size.
-    """
+def _k1_rule(g1: Graph, g2: Graph, reading: str) -> tuple[ExtendedNat, str, CutScan, tuple[int, ...] | None]:
+    """(value, branch, the left factor's scan, the cut whose isolation
+    count entered the formula); the cut is None on the thm22 branch."""
     if reading not in READINGS:
         raise ValueError(f"unknown reading {reading!r}; expected one of {READINGS}")
     if g1.n == 0 or g2.n == 0:
@@ -198,18 +165,32 @@ def k1_product_formula(g1: Graph, g2: Graph, reading: str = "min_cuts_only") -> 
     if is_complete(g1):
         raise ValueError("the closed-form k1 rules need a non-complete left factor")
     m = g2.n
-    kappa1 = vertex_connectivity(g1)
-    k1_left = k1_connectivity(g1)
-    if k1_left == kappa1:
-        return ExtendedNat(kappa1 * m), "thm22"
+    left = scan_cuts(g1)
+    kappa1 = left.kappa
+    if left.k1 == kappa1:
+        return ExtendedNat(kappa1 * m), "thm22", left, None
     t = len(isolated_vertices(g2))
     if reading == "min_cuts_only":
-        _, c = select_optimal_min_cut(g1)
+        cert, c = select_optimal_min_cut(g1, kappa=kappa1)
+        cut = cert.cut
     else:
-        _, c = least_isolating_cut(g1)
-    if k1_left.is_finite:
-        return ExtendedNat(min(k1_left.value * m, kappa1 * m + c * t)), "thm23"
-    return ExtendedNat(kappa1 * m + c * t), "cor24"
+        cut, c = least_isolating_cut(g1)
+    if left.k1.is_finite:
+        return ExtendedNat(min(left.k1.value * m, kappa1 * m + c * t)), "thm23", left, cut
+    return ExtendedNat(kappa1 * m + c * t), "cor24", left, cut
+
+
+def k1_product_formula(g1: Graph, g2: Graph, reading: str = "min_cuts_only") -> tuple[ExtendedNat, str]:
+    """Raw closed-form k1 value for the product, with its branch label.
+
+    No witness is built or checked here; this is the formula side the
+    verification harness compares against the oracle. ``reading`` selects
+    the quantifier for the isolation count: "min_cuts_only" minimizes the
+    leftover isolated vertices over minimum cuts of the left factor,
+    "all_cuts" minimizes over vertex cuts of every size.
+    """
+    value, branch, _, _ = _k1_rule(g1, g2, reading)
+    return value, branch
 
 
 def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
@@ -230,17 +211,15 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     m = g2.n
     product = lex_product(g1, g2)
     if not is_complete(g1):
-        value, branch = k1_product_formula(g1, g2)
+        value, branch, left, opt_cut = _k1_rule(g1, g2, "min_cuts_only")
         if branch == "thm22":
-            witness = lift_min_cut(minimum_k1_cut(g1), m)
+            witness = lift_min_cut(left.k1_cut, m)
         elif branch == "thm23":
-            rows = lift_min_cut(minimum_k1_cut(g1), m)
-            opt_cert, _ = select_optimal_min_cut(g1)
-            augmented = lift_k1_cut(g1, g2, opt_cert.cut)
+            rows = lift_min_cut(left.k1_cut, m)
+            augmented = lift_k1_cut(g1, g2, opt_cut)
             witness = rows if len(rows) <= len(augmented) else augmented
         else:
-            opt_cert, _ = select_optimal_min_cut(g1)
-            witness = lift_k1_cut(g1, g2, opt_cert.cut)
+            witness = lift_k1_cut(g1, g2, opt_cut)
         if len(witness) == value and is_k1_vertex_cut(product, witness):
             return LexK1Result(value=value, branch=branch, witness=witness)
     scan = scan_cuts(product)

@@ -102,6 +102,14 @@ class TestCompute:
             parsed[name] = json.loads(value)
         assert parsed == json.loads(js)
 
+    def test_oversized_header_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.el"
+        path.write_text("258048 0\n")
+        code, out, err = run_cli(capsys, "compute", str(path), "--invariants", "delta")
+        assert code == EX_INPUT
+        assert out == ""
+        assert "line 1" in err
+
     def test_empty_graph_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "empty.el"
         path.write_text("0 0\n")

@@ -15,6 +15,7 @@ from lexiconn import (
     empty_graph,
     enumerate_min_vertex_cuts,
     find_non_isolating_min_cut,
+    is_complete,
     is_connected,
     is_k1_vertex_cut,
     is_super_connected,
@@ -218,6 +219,14 @@ class TestSuperConnected:
         assert is_super_connected(g) == all(
             cert.isolated_after != () or cert.reduces_to_trivial for cert in certs
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(connected_graphs(max_n=7).filter(lambda g: not is_complete(g)))
+    def test_refuting_cut_is_first_k1_cut_of_size_kappa(self, g):
+        # a non-isolating minimum cut is exactly a k1 cut of size kappa
+        scan = scan_cuts(g)
+        expected = scan.k1_cut if scan.k1 == scan.kappa else None
+        assert find_non_isolating_min_cut(g) == expected
 
 
 class TestSelectOptimalMinCut:

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,18 @@ class TestExtendedNat:
         assert INFINITY <= INFINITY
         assert ExtendedNat(5) > 4
         assert 4 < INFINITY
+        # ints on the left go through the reflected comparisons
+        assert 3 < ExtendedNat(5)
+        assert 5 >= ExtendedNat(5)
+        assert not 6 <= ExtendedNat(5)
+        assert INFINITY >= 7
+        assert 7 <= INFINITY
+        for other in ("3", True, 3.0):
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    op(ExtendedNat(3), other)
+                with pytest.raises(TypeError):
+                    op(other, ExtendedNat(3))
 
     def test_int_equality(self):
         assert ExtendedNat(3) == 3

@@ -15,6 +15,7 @@ from lexiconn import (
     parse_graph6,
     serialize_graph6,
 )
+from lexiconn.io import MAX_VERTICES
 
 
 def graphs(max_n=8):
@@ -59,6 +60,13 @@ class TestEdgeList:
         with pytest.raises(GraphParseError) as err:
             parse_edge_list(text)
         assert needle in str(err.value)
+
+    def test_vertex_count_capped_at_header(self):
+        # one past the graph6 limit: rejected before any vertex is allocated
+        with pytest.raises(GraphParseError) as err:
+            parse_edge_list(f"{MAX_VERTICES + 1} 0\n")
+        assert "line 1" in str(err.value)
+        assert str(MAX_VERTICES) in str(err.value)
 
     @given(graphs())
     def test_format_round_trip(self, g):

@@ -8,7 +8,6 @@ from lexiconn import (
     ExtendedNat,
     Graph,
     LexK1Result,
-    ProductIndex,
     bowtie_graph,
     complete_bipartite,
     complete_graph,
@@ -51,23 +50,6 @@ def mid_branch_fixture():
     return Graph(6, [(0, 1), (0, 2), (0, 3), (2, 4), (3, 5), (4, 5)])
 
 
-class TestProductIndex:
-    def test_round_trip(self):
-        idx = ProductIndex(3, 4)
-        for i in range(3):
-            for j in range(4):
-                assert idx.split(idx.flat(i, j)) == (i, j)
-        assert idx.size == 12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ProductIndex(0, 2)
-        with pytest.raises(ValueError):
-            ProductIndex(2, 3).flat(2, 0)
-        with pytest.raises(ValueError):
-            ProductIndex(2, 3).split(6)
-
-
 class TestLexProduct:
     def test_k2_by_k2_is_k4(self):
         assert lex_product(complete_graph(2), complete_graph(2)) == complete_graph(4)
@@ -92,12 +74,11 @@ class TestLexProduct:
     @given(graphs(max_n=3), graphs(max_n=3))
     def test_adjacency_rule(self, g1, g2):
         product = lex_product(g1, g2)
-        idx = ProductIndex(g1.n, g2.n)
         for v in range(product.n):
             for w in range(product.n):
                 if v == w:
                     continue
-                expected = brute_product_adjacent(g1, g2, idx.split(v), idx.split(w))
+                expected = brute_product_adjacent(g1, g2, divmod(v, g2.n), divmod(w, g2.n))
                 assert product.has_edge(v, w) == expected
 
     @given(graphs())
