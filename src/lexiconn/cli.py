@@ -153,13 +153,14 @@ def _cmd_product(args) -> int:
         product = lex_product(g1, g2)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    text = serialize_graph6(product)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_graph6(product) + "\n")
+            fh.write(text + "\n")
     except OSError as exc:
         raise _InputError(f"cannot write {args.out!r}: {exc}") from exc
     if not args.quiet:
-        print(f"wrote {serialize_graph6(product)!r} ({product.n} vertices)", file=sys.stderr)
+        print(f"wrote {text!r} ({product.n} vertices)", file=sys.stderr)
     if args.report:
         pairs: list[tuple[str, object]] = [
             ("n", product.n),

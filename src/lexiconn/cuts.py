@@ -19,13 +19,14 @@ Every oracle and predicate here runs on one private kernel,
 ``_vertex_cuts``, which holds the module's only flood fill. The rule is
 "enumerate by size then lex, first hit wins": subsets are visited by
 size, then in lexicographic order, so the first hit is a minimum and
-every result is reproducible.
+every result is reproducible. Every minimum-cut query reads
+``_min_cuts``, one pass over that stream that ends after the least size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, takewhile
 from typing import Iterator
 
 from .graphs import INFINITY, ExtendedNat, Graph, is_complete, is_connected, vertex_set
@@ -178,35 +179,39 @@ def cut_certificate(g: Graph, cut, kappa: int | None = None) -> CutCertificate:
     return _certificate(g, cut, 0, False, is_minimum=False)
 
 
-def _sweep(g: Graph, need_k1: bool):
-    """One pass over subsets by size then lex order.
-
-    Returns (kappa_cut, k1_cut), k1_cut None when absent or not requested.
-    A k1 cut leaves at least two components of at least two vertices each,
-    so sizes above n - 4 are never scanned for it.
-    """
-    n = g.n
-    if n == 0:
+def _cuts_by_size(g: Graph) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+    """The kernel over every subset, by size then lex order."""
+    if g.n == 0:
         raise ValueError("the empty graph has no cuts")
-    k1_bound = n - 4 if need_k1 else -1
-    kappa_cut = k1_cut = None
-    for size in range(n):
-        for cut, rem, disconnects in _vertex_cuts(g, combinations(range(n), size)):
-            if kappa_cut is None:
-                kappa_cut = cut
-            if size > k1_bound:
-                break
-            if disconnects and not _isolated_mask(g.adj_bits, rem):
-                k1_cut = cut
-                break
-        if kappa_cut is not None and (k1_cut is not None or size >= k1_bound):
-            break
-    return kappa_cut, k1_cut
+    return _vertex_cuts(g, chain.from_iterable(combinations(range(g.n), size) for size in range(g.n)))
+
+
+def _min_cuts(g: Graph, kappa: int | None = None) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+    """The kernel's yields for the cuts of size ``kappa`` when given, else for
+    those of the first size that has any (n - 1 always does), in one pass."""
+    if kappa is not None:
+        return _vertex_cuts(g, combinations(range(g.n), kappa))
+    cuts = _cuts_by_size(g)
+    first = next(cuts)
+    return chain((first,), takewhile(lambda hit: len(hit[0]) == len(first[0]), cuts))
 
 
 def scan_cuts(g: Graph) -> CutScan:
-    """Run the combined connectivity / k1-connectivity sweep once."""
-    kappa_cut, k1_cut = _sweep(g, need_k1=True)
+    """Run the combined connectivity / k1-connectivity sweep once.
+
+    The first cut of the size-ordered stream is a minimum cut. A k1 cut
+    leaves at least two components of at least two vertices each, so the
+    sweep stops at the first cut larger than n - 4.
+    """
+    kappa_cut = k1_cut = None
+    for cut, rem, disconnects in _cuts_by_size(g):
+        if kappa_cut is None:
+            kappa_cut = cut
+        if len(cut) > g.n - 4:
+            break
+        if disconnects and not _isolated_mask(g.adj_bits, rem):
+            k1_cut = cut
+            break
     return CutScan(
         kappa=len(kappa_cut),
         kappa_cut=kappa_cut,
@@ -217,7 +222,7 @@ def scan_cuts(g: Graph) -> CutScan:
 
 def vertex_connectivity_oracle(g: Graph) -> int:
     """Connectivity by plain subset enumeration, smallest size first."""
-    return len(_sweep(g, need_k1=False)[0])
+    return len(next(_min_cuts(g))[0])
 
 
 def k1_connectivity(g: Graph) -> ExtendedNat:
@@ -237,13 +242,12 @@ def _require_connected_non_complete(g: Graph, what: str) -> None:
         raise ValueError(f"{what} requires a non-complete graph")
 
 
-def _least_isolating(g: Graph, sizes) -> tuple[tuple[int, ...], int, bool, int]:
-    """(cut, remaining mask, disconnects, isolated count) of the first cut
-    over ``sizes`` leaving the fewest isolated vertices; stops at a cut
-    leaving none. Connected non-complete graphs always have a cut."""
+def _least_isolating(g: Graph, hits) -> tuple[tuple[int, ...], int, bool, int]:
+    """(cut, remaining mask, disconnects, isolated count) of the first of
+    the kernel's ``hits`` leaving the fewest isolated vertices; stops at a
+    cut leaving none. Connected non-complete graphs always have a cut."""
     best = None
-    subsets = chain.from_iterable(combinations(range(g.n), size) for size in sizes)
-    for cut, rem, disconnects in _vertex_cuts(g, subsets):
+    for cut, rem, disconnects in hits:
         count = bin(_isolated_mask(g.adj_bits, rem)).count("1")
         if best is None or count < best[3]:
             best = (cut, rem, disconnects, count)
@@ -252,29 +256,25 @@ def _least_isolating(g: Graph, sizes) -> tuple[tuple[int, ...], int, bool, int]:
     return best
 
 
-def enumerate_min_vertex_cuts(g: Graph, kappa: int | None = None) -> list[CutCertificate]:
+def enumerate_min_vertex_cuts(g: Graph) -> list[CutCertificate]:
     """All minimum vertex cuts of a connected non-complete graph, in
     lexicographic order, each with fully populated flags."""
     _require_connected_non_complete(g, "minimum-cut enumeration")
-    if kappa is None:
-        kappa = vertex_connectivity_oracle(g)
     return [
         _certificate(g, cut, rem, disconnects, is_minimum=True)
-        for cut, rem, disconnects in _vertex_cuts(g, combinations(range(g.n), kappa))
+        for cut, rem, disconnects in _min_cuts(g)
     ]
 
 
-def find_non_isolating_min_cut(g: Graph, kappa: int | None = None) -> tuple[int, ...] | None:
+def find_non_isolating_min_cut(g: Graph) -> tuple[int, ...] | None:
     """First minimum cut that disconnects without isolating anyone, or None.
 
     None means every minimum cut isolates a vertex, i.e. the graph is
     super connected.
     """
     _require_connected_non_complete(g, "super-connectivity testing")
-    if kappa is None:
-        kappa = vertex_connectivity_oracle(g)
     # leaving no isolated vertex implies disconnecting: a one-vertex remainder is isolated
-    cut, _, _, count = _least_isolating(g, (kappa,))
+    cut, _, _, count = _least_isolating(g, _min_cuts(g))
     return cut if count == 0 else None
 
 
@@ -296,11 +296,10 @@ def is_super_connected(g: Graph) -> bool:
 def select_optimal_min_cut(g: Graph, kappa: int | None = None) -> tuple[CutCertificate, int]:
     """Among the minimum vertex cuts, one leaving the fewest isolated
     vertices (ties go to the lexicographically smallest cut); also returns
-    that minimum count."""
+    that minimum count. ``kappa``, when the caller already knows it, skips
+    the search for the minimum size."""
     _require_connected_non_complete(g, "optimal-cut selection")
-    if kappa is None:
-        kappa = vertex_connectivity_oracle(g)
-    cut, rem, disconnects, count = _least_isolating(g, (kappa,))
+    cut, rem, disconnects, count = _least_isolating(g, _min_cuts(g, kappa))
     return _certificate(g, cut, rem, disconnects, is_minimum=True), count
 
 
@@ -313,5 +312,5 @@ def least_isolating_cut(g: Graph) -> tuple[tuple[int, ...], int]:
     small left factors the verification harness feeds it.
     """
     _require_connected_non_complete(g, "optimal-cut selection")
-    cut, _, _, count = _least_isolating(g, range(g.n))
+    cut, _, _, count = _least_isolating(g, _cuts_by_size(g))
     return cut, count

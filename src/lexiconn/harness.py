@@ -16,9 +16,9 @@ factor), "thm21_complete" (complete left factor), "thm22" / "thm23" /
 ``reading`` toggle choosing how the isolation count in the formula is
 quantified, because the two natural readings genuinely differ.
 
-Oracle results are memoized per graph6 key for the lifetime of the
-process; reports do not depend on the cache, it only avoids rescanning a
-product that several runs share.
+Cut scans are memoized for the life of the process, keyed by the
+factors' adjacency bitmasks, because the reports of a sweep share their
+products; a hit builds nothing. Reports do not depend on the memo.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
-from .cuts import CutCertificate, CutScan, cut_certificate, scan_cuts
+from .cuts import CutCertificate, CutScan, cut_certificate, is_super_connected, scan_cuts
 from .graphs import ExtendedNat, Graph, is_complete, is_connected, isolated_vertices
 from .io import parse_graph6, serialize_graph6
 from .lexprod import READINGS, k1_product_formula, lex_connectivity, lex_product
@@ -220,40 +220,21 @@ class VerificationReport:
         return json.dumps(self.to_json(include_wall_time=False), separators=(",", ":"))
 
 
-_SCAN_MEMO: dict[str, CutScan] = {}
-_SUPER_MEMO: dict[str, tuple[bool, tuple[int, ...] | None]] = {}
+_SCANS: dict[tuple[tuple[int, ...], tuple[int, ...] | None], CutScan] = {}
 
 
 def clear_caches() -> None:
-    _SCAN_MEMO.clear()
-    _SUPER_MEMO.clear()
+    _SCANS.clear()
 
 
-def _scan_for(g: Graph) -> CutScan:
-    key = serialize_graph6(g)
-    hit = _SCAN_MEMO.get(key)
+def _scan(g1: Graph, g2: Graph | None = None) -> CutScan:
+    """The memoized scan of ``g1``, or of its product with ``g2``; keyed by
+    bitmasks, not graphs, so it keeps no factor's neighbour sets alive."""
+    key = (g1.adj_bits, g2.adj_bits if g2 is not None else None)
+    hit = _SCANS.get(key)
     if hit is None:
-        hit = scan_cuts(g)
-        _SCAN_MEMO[key] = hit
-    return hit
-
-
-def _super_for(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """(is super connected, a refuting non-isolating minimum cut or None)."""
-    key = serialize_graph6(g)
-    hit = _SUPER_MEMO.get(key)
-    if hit is None:
-        if not is_connected(g):
-            hit = (False, None)
-        elif is_complete(g):
-            hit = (True, None)
-        else:
-            # a non-isolating minimum cut is exactly a k1 cut of size kappa,
-            # and the scan holds the lexicographically first one
-            scan = _scan_for(g)
-            refuting = scan.k1_cut if scan.k1 == scan.kappa else None
-            hit = (refuting is None, refuting)
-        _SUPER_MEMO[key] = hit
+        hit = scan_cuts(g1 if g2 is None else lex_product(g1, g2))
+        _SCANS[key] = hit
     return hit
 
 
@@ -265,7 +246,7 @@ def _satisfies_hypotheses(theorem_id: str, g1: Graph, g2: Graph) -> bool:
     if theorem_id == "thm21":
         return True
     if theorem_id in _K1_IDS:
-        left = _scan_for(g1)
+        left = _scan(g1)
         if theorem_id == "thm22":
             return left.k1 == left.kappa
         if theorem_id == "thm23":
@@ -280,31 +261,23 @@ def _satisfies_hypotheses(theorem_id: str, g1: Graph, g2: Graph) -> bool:
         return False
     if theorem_id == "super_part2":
         return not isolated_vertices(g2)
-    return bool(isolated_vertices(g2)) and _super_for(g1)[0]
+    # a connected non-complete g1 is super connected exactly when no k1 cut has size kappa
+    return bool(isolated_vertices(g2)) and _scan(g1).k1 != _scan(g1).kappa
 
 
 def _evaluate(theorem_id: str, g1: Graph, g2: Graph, reading: str):
-    """(formula value, oracle value, oracle-side witness certificate)."""
-    product = lex_product(g1, g2)
-    pscan = _scan_for(product)
+    """(formula value, oracle value, the product cut witnessing the oracle
+    value or None)."""
+    pscan = _scan(g1, g2)
     if theorem_id in _KAPPA_IDS:
-        formula = ExtendedNat(lex_connectivity(g1, g2))
-        oracle = ExtendedNat(pscan.kappa)
-        witness = cut_certificate(product, pscan.kappa_cut, kappa=pscan.kappa)
-    elif theorem_id in _K1_IDS:
+        return ExtendedNat(lex_connectivity(g1, g2)), ExtendedNat(pscan.kappa), pscan.kappa_cut
+    if theorem_id in _K1_IDS:
         formula, _ = k1_product_formula(g1, g2, reading)
-        oracle = pscan.k1
-        witness = (
-            cut_certificate(product, pscan.k1_cut, kappa=pscan.kappa)
-            if pscan.k1_cut is not None
-            else None
-        )
-    else:
-        formula = theorem_id == "super_part3"
-        oracle, refuting = _super_for(product)
-        cut = refuting if refuting is not None else pscan.kappa_cut
-        witness = cut_certificate(product, cut, kappa=pscan.kappa)
-    return formula, oracle, witness
+        return formula, pscan.k1, pscan.k1_cut
+    # the hypotheses make the product connected and non-complete, where the
+    # first non-isolating minimum cut is the first k1 cut when it has size kappa
+    refuted = pscan.k1 == pscan.kappa
+    return theorem_id == "super_part3", not refuted, pscan.k1_cut if refuted else pscan.kappa_cut
 
 
 def verify_theorem(
@@ -331,21 +304,24 @@ def verify_theorem(
             skipped += 1
             continue
         checked += 1
-        formula, oracle, witness = _evaluate(theorem_id, g1, g2, reading)
+        formula, oracle, cut = _evaluate(theorem_id, g1, g2, reading)
         if formula == oracle:
             agreements += 1
-        else:
-            discrepancies.append(
-                DiscrepancyCertificate(
-                    theorem_id=theorem_id,
-                    g1=serialize_graph6(g1),
-                    g2=serialize_graph6(g2),
-                    formula_value=formula,
-                    oracle_value=oracle,
-                    witness=witness,
-                    reading=reading,
-                )
+            continue
+        witness = None
+        if cut is not None:
+            witness = cut_certificate(lex_product(g1, g2), cut, kappa=_scan(g1, g2).kappa)
+        discrepancies.append(
+            DiscrepancyCertificate(
+                theorem_id=theorem_id,
+                g1=serialize_graph6(g1),
+                g2=serialize_graph6(g2),
+                formula_value=formula,
+                oracle_value=oracle,
+                witness=witness,
+                reading=reading,
             )
+        )
     wall_ms = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         theorem_id=theorem_id,
@@ -375,13 +351,14 @@ def validate_certificate(cert: DiscrepancyCertificate) -> bool:
     g1 = parse_graph6(cert.g1)
     g2 = parse_graph6(cert.g2)
     product = lex_product(g1, g2)
-    pscan = _scan_for(product)
+    pscan = _scan(g1, g2)
     if cert.theorem_id in _KAPPA_IDS:
         oracle: ExtendedNat | bool = ExtendedNat(pscan.kappa)
     elif cert.theorem_id in _K1_IDS:
         oracle = pscan.k1
     else:
-        oracle = _super_for(product)[0]
+        # the factors need not satisfy any hypothesis, so no scan identity
+        oracle = is_super_connected(product)
     if oracle != cert.oracle_value:
         return False
     if cert.witness is None:

@@ -12,6 +12,7 @@ from lexiconn import (
     validate_certificate,
     verify_theorem,
 )
+import lexiconn.harness
 from lexiconn.graphs import ExtendedNat
 from lexiconn.harness import clear_caches
 from lexiconn.io import GraphParseError
@@ -163,6 +164,27 @@ class TestVerifyTheorem:
         assert report.seed is None
         assert "seed" not in report.to_json()
 
+    def test_repeated_reports_build_and_scan_nothing(self, monkeypatch):
+        family = InstanceFamily(4, 2)
+        for theorem_id in ("thm21", "super_part1"):
+            verify_theorem(theorem_id, family)
+        calls = {"lex_product": 0, "scan_cuts": 0}
+
+        def counting(name):
+            inner = getattr(lexiconn.harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(lexiconn.harness, name, counting(name))
+        for theorem_id in ("thm21", "super_part1"):
+            assert verify_theorem(theorem_id, family).discrepancies == ()
+        assert calls == {"lex_product": 0, "scan_cuts": 0}
+
     def test_wall_time_excluded_from_canonical_form(self):
         report = verify_theorem("thm21", InstanceFamily(3, 2))
         assert "wall_time_ms" in report.to_json()
@@ -230,3 +252,22 @@ class TestCertificateValidation:
         assert validate_certificate(cert)
         flipped = dataclasses.replace(cert, witness=dataclasses.replace(good_witness, isolated_after=(0,)))
         assert not validate_certificate(flipped)
+
+    def test_super_branch_recomputes_on_factors_outside_the_hypotheses(self):
+        # 2K1 is disconnected, hence not super connected, though k1 != kappa there
+        from lexiconn import cut_certificate, empty_graph, lex_product, serialize_graph6
+
+        g1 = empty_graph(2)
+        g2 = complete_graph(1)
+        cert = DiscrepancyCertificate(
+            theorem_id="super_part1",
+            g1=serialize_graph6(g1),
+            g2=serialize_graph6(g2),
+            formula_value=True,
+            oracle_value=False,
+            witness=cut_certificate(lex_product(g1, g2), (), kappa=0),
+            reading="min_cuts_only",
+        )
+        assert validate_certificate(cert)
+        swapped = dataclasses.replace(cert, formula_value=False, oracle_value=True)
+        assert not validate_certificate(swapped)

@@ -186,6 +186,8 @@ class TestK1ProductFormula:
         assert branch1 == branch2 == "cor24"
         assert proof_reading == ExtendedNat(6)
         assert loose_reading == ExtendedNat(4)
+        # the oracle sides with the minimum-cut reading
+        assert scan_cuts(lex_product(star_graph(3), g2)).k1 == ExtendedNat(6)
 
     def test_validation(self):
         with pytest.raises(ValueError):
