@@ -120,7 +120,7 @@ def _cmd_compute(args) -> int:
         raise _UsageError("no invariants requested")
     g = _load(args.graph, args.format_in)
     pairs: list[tuple[str, object]] = []
-    scan = None  # one subset sweep serves k_cut, k1 and k1_cut
+    scan = None  # one subset sweep serves k_cut, k1, k1_cut and super
     try:
         for name in names:
             if name == "k":
@@ -135,7 +135,10 @@ def _cmd_compute(args) -> int:
                     cut = scan.k1_cut
                     pairs.append(("k1_cut", list(cut) if cut is not None else None))
             elif name == "super":
-                pairs.append(("super", is_super_connected(g)))
+                # 0 < kappa < n - 1 exactly when g is connected and non-complete,
+                # and then g is super connected unless a k1 cut has size kappa
+                from_scan = scan is not None and 0 < scan.kappa < g.n - 1
+                pairs.append(("super", scan.k1 != scan.kappa if from_scan else is_super_connected(g)))
             elif name == "delta":
                 pairs.append(("delta", min_degree(g)))
             else:

@@ -20,13 +20,14 @@ Every oracle and predicate here runs on one private kernel,
 "enumerate by size then lex, first hit wins": subsets are visited by
 size, then in lexicographic order, so the first hit is a minimum and
 every result is reproducible. Every minimum-cut query reads
-``_min_cuts``, one pass over that stream that ends after the least size.
+``_min_cuts``, which ends with the first size that has a cut. ``scan_cuts``
+walks the minimum cuts, then, only if none is a k1 cut, the larger sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, takewhile
+from itertools import chain, combinations
 from typing import Iterator
 
 from .graphs import INFINITY, ExtendedNat, Graph, is_complete, is_connected, vertex_set
@@ -68,13 +69,16 @@ class CutScan:
 
     ``kappa`` and ``kappa_cut`` are the connectivity and the first minimum
     vertex cut; ``k1`` and ``k1_cut`` the isolation-free counterparts,
-    with ``k1_cut`` None when ``k1`` is infinite.
+    with ``k1_cut`` None when ``k1`` is infinite; ``optimal_cut`` is the first
+    minimum cut leaving the fewest isolated vertices, ``optimal_isolated`` that count.
     """
 
     kappa: int
     kappa_cut: tuple[int, ...]
     k1: ExtendedNat
     k1_cut: tuple[int, ...] | None
+    optimal_cut: tuple[int, ...]
+    optimal_isolated: int
 
 
 def _isolated_mask(adj_bits, rem: int) -> int:
@@ -179,44 +183,53 @@ def cut_certificate(g: Graph, cut, kappa: int | None = None) -> CutCertificate:
     return _certificate(g, cut, 0, False, is_minimum=False)
 
 
-def _cuts_by_size(g: Graph) -> Iterator[tuple[tuple[int, ...], int, bool]]:
-    """The kernel over every subset, by size then lex order."""
-    if g.n == 0:
-        raise ValueError("the empty graph has no cuts")
-    return _vertex_cuts(g, chain.from_iterable(combinations(range(g.n), size) for size in range(g.n)))
+def _cuts_of_sizes(g: Graph, sizes) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+    """The kernel over every subset of the given sizes, by size then lex order."""
+    return _vertex_cuts(g, chain.from_iterable(combinations(range(g.n), size) for size in sizes))
 
 
-def _min_cuts(g: Graph, kappa: int | None = None) -> Iterator[tuple[tuple[int, ...], int, bool]]:
-    """The kernel's yields for the cuts of size ``kappa`` when given, else for
-    those of the first size that has any (n - 1 always does), in one pass."""
-    if kappa is not None:
-        return _vertex_cuts(g, combinations(range(g.n), kappa))
-    cuts = _cuts_by_size(g)
-    first = next(cuts)
-    return chain((first,), takewhile(lambda hit: len(hit[0]) == len(first[0]), cuts))
+def _min_cuts(g: Graph) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+    """The kernel's yields for the cuts of the first size that has any
+    (n - 1 always does); no subset of a larger size is drawn."""
+    for size in range(g.n):
+        cuts = _vertex_cuts(g, combinations(range(g.n), size))
+        first = next(cuts, None)
+        if first is not None:
+            return chain((first,), cuts)
+    raise ValueError("the empty graph has no cuts")
 
 
 def scan_cuts(g: Graph) -> CutScan:
     """Run the combined connectivity / k1-connectivity sweep once.
 
-    The first cut of the size-ordered stream is a minimum cut. A k1 cut
-    leaves at least two components of at least two vertices each, so the
-    sweep stops at the first cut larger than n - 4.
+    The first pass tallies the isolated vertices each minimum cut leaves and
+    stops at one leaving none: it disconnects, so it is the first k1 cut.
+    Otherwise the second pass walks sizes kappa + 1 .. n - 4, as a k1 cut
+    leaves two components of at least two vertices each.
     """
-    kappa_cut = k1_cut = None
-    for cut, rem, disconnects in _cuts_by_size(g):
-        if kappa_cut is None:
-            kappa_cut = cut
-        if len(cut) > g.n - 4:
-            break
-        if disconnects and not _isolated_mask(g.adj_bits, rem):
-            k1_cut = cut
-            break
+    hits = _min_cuts(g)
+    kappa_cut, rem, _ = next(hits)
+    optimal_cut, optimal_isolated = kappa_cut, _isolated_mask(g.adj_bits, rem).bit_count()
+    if optimal_isolated:
+        for cut, rem, _ in hits:
+            count = _isolated_mask(g.adj_bits, rem).bit_count()
+            if count < optimal_isolated:
+                optimal_cut, optimal_isolated = cut, count
+                if count == 0:
+                    break
+    k1_cut = optimal_cut if optimal_isolated == 0 else None
+    if k1_cut is None:
+        for cut, rem, disconnects in _cuts_of_sizes(g, range(len(kappa_cut) + 1, g.n - 3)):
+            if disconnects and not _isolated_mask(g.adj_bits, rem):
+                k1_cut = cut
+                break
     return CutScan(
         kappa=len(kappa_cut),
         kappa_cut=kappa_cut,
         k1=ExtendedNat(len(k1_cut)) if k1_cut is not None else INFINITY,
         k1_cut=k1_cut,
+        optimal_cut=optimal_cut,
+        optimal_isolated=optimal_isolated,
     )
 
 
@@ -242,20 +255,6 @@ def _require_connected_non_complete(g: Graph, what: str) -> None:
         raise ValueError(f"{what} requires a non-complete graph")
 
 
-def _least_isolating(g: Graph, hits) -> tuple[tuple[int, ...], int, bool, int]:
-    """(cut, remaining mask, disconnects, isolated count) of the first of
-    the kernel's ``hits`` leaving the fewest isolated vertices; stops at a
-    cut leaving none. Connected non-complete graphs always have a cut."""
-    best = None
-    for cut, rem, disconnects in hits:
-        count = bin(_isolated_mask(g.adj_bits, rem)).count("1")
-        if best is None or count < best[3]:
-            best = (cut, rem, disconnects, count)
-            if count == 0:
-                break
-    return best
-
-
 def enumerate_min_vertex_cuts(g: Graph) -> list[CutCertificate]:
     """All minimum vertex cuts of a connected non-complete graph, in
     lexicographic order, each with fully populated flags."""
@@ -274,8 +273,7 @@ def find_non_isolating_min_cut(g: Graph) -> tuple[int, ...] | None:
     """
     _require_connected_non_complete(g, "super-connectivity testing")
     # leaving no isolated vertex implies disconnecting: a one-vertex remainder is isolated
-    cut, _, _, count = _least_isolating(g, _min_cuts(g))
-    return cut if count == 0 else None
+    return next((cut for cut, rem, _ in _min_cuts(g) if not _isolated_mask(g.adj_bits, rem)), None)
 
 
 def is_super_connected(g: Graph) -> bool:
@@ -293,24 +291,10 @@ def is_super_connected(g: Graph) -> bool:
     return find_non_isolating_min_cut(g) is None
 
 
-def select_optimal_min_cut(g: Graph, kappa: int | None = None) -> tuple[CutCertificate, int]:
+def select_optimal_min_cut(g: Graph) -> tuple[CutCertificate, int]:
     """Among the minimum vertex cuts, one leaving the fewest isolated
     vertices (ties go to the lexicographically smallest cut); also returns
-    that minimum count. ``kappa``, when the caller already knows it, skips
-    the search for the minimum size."""
+    that minimum count. Both are read from the scan."""
     _require_connected_non_complete(g, "optimal-cut selection")
-    cut, rem, disconnects, count = _least_isolating(g, _min_cuts(g, kappa))
-    return _certificate(g, cut, rem, disconnects, is_minimum=True), count
-
-
-def least_isolating_cut(g: Graph) -> tuple[tuple[int, ...], int]:
-    """Over ALL vertex cuts of any size, one leaving the fewest isolated
-    vertices, scanning by size then lex order with strict improvement.
-
-    This is the alternative quantifier for the product k1 formula, where
-    the cut is not required to be minimum. Exponential; meant for the
-    small left factors the verification harness feeds it.
-    """
-    _require_connected_non_complete(g, "optimal-cut selection")
-    cut, _, _, count = _least_isolating(g, _cuts_by_size(g))
-    return cut, count
+    scan = scan_cuts(g)
+    return cut_certificate(g, scan.optimal_cut, kappa=scan.kappa), scan.optimal_isolated

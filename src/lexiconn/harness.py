@@ -31,7 +31,7 @@ from typing import Iterator
 from .cuts import CutCertificate, CutScan, cut_certificate, is_super_connected, scan_cuts
 from .graphs import ExtendedNat, Graph, is_complete, is_connected, isolated_vertices
 from .io import parse_graph6, serialize_graph6
-from .lexprod import READINGS, k1_product_formula, lex_connectivity, lex_product
+from .lexprod import READINGS, _k1_branch, _k1_rule, lex_connectivity, lex_product
 
 THEOREM_IDS = (
     "thm21",
@@ -246,12 +246,7 @@ def _satisfies_hypotheses(theorem_id: str, g1: Graph, g2: Graph) -> bool:
     if theorem_id == "thm21":
         return True
     if theorem_id in _K1_IDS:
-        left = _scan(g1)
-        if theorem_id == "thm22":
-            return left.k1 == left.kappa
-        if theorem_id == "thm23":
-            return left.kappa < left.k1 and left.k1.is_finite
-        return not left.k1.is_finite
+        return _k1_branch(_scan(g1)) == theorem_id
     # super rules assume a right factor with at least two vertices
     if g2.n < 2:
         return False
@@ -272,8 +267,7 @@ def _evaluate(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     if theorem_id in _KAPPA_IDS:
         return ExtendedNat(lex_connectivity(g1, g2)), ExtendedNat(pscan.kappa), pscan.kappa_cut
     if theorem_id in _K1_IDS:
-        formula, _ = k1_product_formula(g1, g2, reading)
-        return formula, pscan.k1, pscan.k1_cut
+        return _k1_rule(_scan(g1), g2, reading)[0], pscan.k1, pscan.k1_cut
     # the hypotheses make the product connected and non-complete, where the
     # first non-isolating minimum cut is the first k1 cut when it has size kappa
     refuted = pscan.k1 == pscan.kappa

@@ -17,7 +17,8 @@ reports:
 * k1 (isolation-free) connectivity of the product, dispatching on how the
   left factor's k1 compares with its connectivity: "thm22" when they are
   equal, "thm23" for the strictly-between-finite case, "cor24" when the
-  left factor has no isolation-free cut at all.
+  left factor has no isolation-free cut at all. They read only the left
+  factor's scan: kappa, k1 and the fewest isolated vertices a cut leaves.
 * super connectivity of the product, split by whether the right factor is
   connected ("part1"), disconnected without isolated vertices ("part2"),
   or disconnected with isolated vertices and a super-connected left
@@ -39,9 +40,7 @@ from .cuts import (
     is_k1_vertex_cut,
     is_super_connected,
     is_vertex_cut,
-    least_isolating_cut,
     scan_cuts,
-    select_optimal_min_cut,
 )
 from .graphs import (
     ExtendedNat,
@@ -153,31 +152,29 @@ def lex_connectivity(g1: Graph, g2: Graph) -> int:
     return vertex_connectivity(g1) * g2.n
 
 
-def _k1_rule(g1: Graph, g2: Graph, reading: str) -> tuple[ExtendedNat, str, CutScan, tuple[int, ...] | None]:
-    """(value, branch, the left factor's scan, the cut whose isolation
-    count entered the formula); the cut is None on the thm22 branch."""
-    if reading not in READINGS:
-        raise ValueError(f"unknown reading {reading!r}; expected one of {READINGS}")
-    if g1.n == 0 or g2.n == 0:
-        raise ValueError("product factors must be non-empty")
-    if not is_connected(g1):
-        raise ValueError("the closed-form k1 rules need a connected left factor")
-    if is_complete(g1):
-        raise ValueError("the closed-form k1 rules need a non-complete left factor")
+def _k1_branch(left: CutScan) -> str:
+    """The k1 rule a left factor with scan ``left`` falls under."""
+    if left.k1 == left.kappa:
+        return "thm22"
+    return "thm23" if left.k1.is_finite else "cor24"
+
+
+def _k1_rule(left: CutScan, g2: Graph, reading: str) -> tuple[ExtendedNat, str]:
+    """(value, branch) of the k1 rule for a product whose connected
+    non-complete left factor has scan ``left``."""
+    branch = _k1_branch(left)
     m = g2.n
-    left = scan_cuts(g1)
-    kappa1 = left.kappa
-    if left.k1 == kappa1:
-        return ExtendedNat(kappa1 * m), "thm22", left, None
-    t = len(isolated_vertices(g2))
+    if branch == "thm22":
+        return ExtendedNat(left.kappa * m), branch
     if reading == "min_cuts_only":
-        cert, c = select_optimal_min_cut(g1, kappa=kappa1)
-        cut = cert.cut
+        c = left.optimal_isolated
     else:
-        cut, c = least_isolating_cut(g1)
-    if left.k1.is_finite:
-        return ExtendedNat(min(left.k1.value * m, kappa1 * m + c * t)), "thm23", left, cut
-    return ExtendedNat(kappa1 * m + c * t), "cor24", left, cut
+        # over cuts of every size: 0 via a k1 cut, else 1 by removing n - 1 vertices
+        c = 0 if left.k1.is_finite else 1
+    value = left.kappa * m + c * len(isolated_vertices(g2))
+    if branch == "thm23":
+        value = min(left.k1.value * m, value)
+    return ExtendedNat(value), branch
 
 
 def k1_product_formula(g1: Graph, g2: Graph, reading: str = "min_cuts_only") -> tuple[ExtendedNat, str]:
@@ -189,8 +186,15 @@ def k1_product_formula(g1: Graph, g2: Graph, reading: str = "min_cuts_only") -> 
     leftover isolated vertices over minimum cuts of the left factor,
     "all_cuts" minimizes over vertex cuts of every size.
     """
-    value, branch, _, _ = _k1_rule(g1, g2, reading)
-    return value, branch
+    if reading not in READINGS:
+        raise ValueError(f"unknown reading {reading!r}; expected one of {READINGS}")
+    if g1.n == 0 or g2.n == 0:
+        raise ValueError("product factors must be non-empty")
+    if not is_connected(g1):
+        raise ValueError("the closed-form k1 rules need a connected left factor")
+    if is_complete(g1):
+        raise ValueError("the closed-form k1 rules need a non-complete left factor")
+    return _k1_rule(scan_cuts(g1), g2, reading)
 
 
 def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
@@ -211,15 +215,16 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     m = g2.n
     product = lex_product(g1, g2)
     if not is_complete(g1):
-        value, branch, left, opt_cut = _k1_rule(g1, g2, "min_cuts_only")
+        left = scan_cuts(g1)
+        value, branch = _k1_rule(left, g2, "min_cuts_only")
         if branch == "thm22":
             witness = lift_min_cut(left.k1_cut, m)
         elif branch == "thm23":
             rows = lift_min_cut(left.k1_cut, m)
-            augmented = lift_k1_cut(g1, g2, opt_cut)
+            augmented = lift_k1_cut(g1, g2, left.optimal_cut)
             witness = rows if len(rows) <= len(augmented) else augmented
         else:
-            witness = lift_k1_cut(g1, g2, opt_cut)
+            witness = lift_k1_cut(g1, g2, left.optimal_cut)
         if len(witness) == value and is_k1_vertex_cut(product, witness):
             return LexK1Result(value=value, branch=branch, witness=witness)
     scan = scan_cuts(product)

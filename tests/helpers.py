@@ -76,6 +76,22 @@ def brute_is_super(g: Graph) -> bool:
     return True
 
 
+def brute_least_isolating(g: Graph) -> tuple[tuple[int, ...], int]:
+    """Over vertex cuts of every size, the first by size then lex order
+    leaving the fewest isolated vertices, and that count."""
+    adj = adjacency(g)
+    best = None
+    for size in range(g.n):
+        for combo in combinations(range(g.n), size):
+            if not brute_is_cut(g, combo):
+                continue
+            comps = components_without(adj, set(combo))
+            count = sum(1 for c in comps if len(c) == 1)
+            if best is None or count < best[1]:
+                best = (combo, count)
+    return best
+
+
 def brute_product_adjacent(g1: Graph, g2: Graph, a: tuple[int, int], b: tuple[int, int]) -> bool:
     (i, j), (p, q) = a, b
     if i != p:

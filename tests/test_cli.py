@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from lexiconn import parse_graph6, serialize_graph6
+from lexiconn import is_super_connected, parse_graph6, random_graph, serialize_graph6
 from lexiconn.cli import EX_DISCREPANCY, EX_INPUT, EX_OK, EX_USAGE, main
 from lexiconn.families import complete_graph, cycle_graph
 
@@ -52,6 +52,30 @@ class TestCompute:
         data = json.loads(out)
         assert data["k_cut"] == [0, 2]
         assert data["k1_cut"] is None
+
+    def test_super_agrees_with_or_without_a_scan(self, capsys, tmp_path):
+        for seed in range(30):
+            g = random_graph(6 + seed % 5, 0.5, seed)
+            path = tmp_path / f"g{seed}.g6"
+            path.write_text(serialize_graph6(g) + "\n")
+            for invariants in ("k1,super", "super"):
+                code, out, _ = run_cli(capsys, "compute", str(path), "--invariants", invariants)
+                assert code == EX_OK
+                assert json.loads(out)["super"] == is_super_connected(g)
+
+    def test_super_after_k1_reads_the_scan(self, capsys, monkeypatch, tmp_path):
+        import lexiconn.cli
+
+        calls = []
+        inner = lexiconn.cli.is_super_connected
+        monkeypatch.setattr(lexiconn.cli, "is_super_connected", lambda g: calls.append(g) or inner(g))
+        for n, expected in ((4, True), (6, False)):
+            path = tmp_path / f"c{n}.g6"
+            path.write_text(serialize_graph6(cycle_graph(n)) + "\n")
+            code, out, _ = run_cli(capsys, "compute", str(path), "--invariants", "k1,super")
+            assert code == EX_OK
+            assert json.loads(out)["super"] is expected
+        assert calls == []
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "compute", "no-such-file.g6")

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_is_cut, brute_is_super, brute_k1, brute_kappa, graph_from_mask
+from helpers import brute_is_cut, brute_is_super, brute_k1, brute_kappa, brute_least_isolating, graph_from_mask
 from lexiconn import (
     INFINITY,
     CutCertificate,
@@ -21,7 +21,6 @@ from lexiconn import (
     is_super_connected,
     is_vertex_cut,
     k1_connectivity,
-    least_isolating_cut,
     minimum_k1_cut,
     path_graph,
     scan_cuts,
@@ -220,6 +219,24 @@ class TestSuperConnected:
             cert.isolated_after != () or cert.reduces_to_trivial for cert in certs
         )
 
+    def test_min_cut_walk_draws_no_subset_past_kappa(self, monkeypatch):
+        import lexiconn.cuts
+
+        kernel = lexiconn.cuts._vertex_cuts
+        drawn = []
+
+        def recording(g, subsets):
+            def record():
+                for subset in subsets:
+                    drawn.append(len(subset))
+                    yield subset
+
+            return kernel(g, record())
+
+        monkeypatch.setattr(lexiconn.cuts, "_vertex_cuts", recording)
+        assert is_super_connected(cycle_graph(5))
+        assert drawn and max(drawn) == 2
+
     @settings(max_examples=80, deadline=None)
     @given(connected_graphs(max_n=7).filter(lambda g: not is_complete(g)))
     def test_refuting_cut_is_first_k1_cut_of_size_kappa(self, g):
@@ -253,28 +270,25 @@ class TestSelectOptimalMinCut:
 
         if is_complete(g):
             return
-        _, count = select_optimal_min_cut(g)
-        assert count == min(len(c.isolated_after) for c in enumerate_min_vertex_cuts(g))
+        cert, count = select_optimal_min_cut(g)
+        # min keeps the first certificate among equals: the lexicographic tie-break
+        first_best = min(enumerate_min_vertex_cuts(g), key=lambda c: len(c.isolated_after))
+        assert count == len(first_best.isolated_after)
+        assert scan_cuts(g).optimal_cut == first_best.cut == cert.cut
 
 
 class TestLeastIsolatingCut:
     def test_star_allows_bigger_cuts(self):
-        cut, count = least_isolating_cut(star_graph(3))
-        assert count == 1 and cut == (0, 1, 2)
+        assert brute_least_isolating(star_graph(3)) == ((0, 1, 2), 1)
 
-    def test_bowtie_stops_at_zero(self):
-        assert least_isolating_cut(bowtie_graph()) == ((1,), 0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(connected_graphs(max_n=6))
-    def test_never_worse_than_minimum_cuts(self, g):
-        from lexiconn import is_complete
-
-        if is_complete(g):
-            return
-        _, over_min = select_optimal_min_cut(g)
-        _, over_all = least_isolating_cut(g)
-        assert over_all <= over_min
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=7).filter(lambda g: not is_complete(g)))
+    @example(bowtie_graph())
+    def test_count_is_closed_form_of_scan(self, g):
+        # the count the "all_cuts" reading uses, read from the scan
+        _, over_all = brute_least_isolating(g)
+        assert over_all == (0 if scan_cuts(g).k1.is_finite else 1)
+        assert over_all <= select_optimal_min_cut(g)[1]
 
 
 class TestCertificates:

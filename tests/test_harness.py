@@ -4,6 +4,7 @@ import json
 import pytest
 
 from lexiconn import (
+    READINGS,
     DiscrepancyCertificate,
     InstanceFamily,
     complete_graph,
@@ -13,6 +14,7 @@ from lexiconn import (
     verify_theorem,
 )
 import lexiconn.harness
+import lexiconn.lexprod
 from lexiconn.graphs import ExtendedNat
 from lexiconn.harness import clear_caches
 from lexiconn.io import GraphParseError
@@ -166,24 +168,34 @@ class TestVerifyTheorem:
 
     def test_repeated_reports_build_and_scan_nothing(self, monkeypatch):
         family = InstanceFamily(4, 2)
-        for theorem_id in ("thm21", "super_part1"):
-            verify_theorem(theorem_id, family)
-        calls = {"lex_product": 0, "scan_cuts": 0}
+        runs = [("thm21", "min_cuts_only"), ("super_part1", "min_cuts_only")]
+        runs += [(theorem_id, reading) for theorem_id in ("thm22", "cor24") for reading in READINGS]
+        first = [verify_theorem(theorem_id, family, reading) for theorem_id, reading in runs]
+        calls = {}
 
-        def counting(name):
-            inner = getattr(lexiconn.harness, name)
-
+        def counting(key, inner):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[key] += 1
                 return inner(*args, **kwargs)
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(lexiconn.harness, name, counting(name))
-        for theorem_id in ("thm21", "super_part1"):
-            assert verify_theorem(theorem_id, family).discrepancies == ()
-        assert calls == {"lex_product": 0, "scan_cuts": 0}
+        for module, name in (
+            (lexiconn.harness, "lex_product"),
+            (lexiconn.harness, "scan_cuts"),
+            (lexiconn.lexprod, "scan_cuts"),
+        ):
+            key = f"{module.__name__}.{name}"
+            calls[key] = 0
+            monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+        again = [verify_theorem(theorem_id, family, reading) for theorem_id, reading in runs]
+        assert [r.canonical_json() for r in again] == [r.canonical_json() for r in first]
+        assert first[0].discrepancies == first[1].discrepancies == ()
+        assert calls == {
+            "lexiconn.harness.lex_product": 0,
+            "lexiconn.harness.scan_cuts": 0,
+            "lexiconn.lexprod.scan_cuts": 0,
+        }
 
     def test_wall_time_excluded_from_canonical_form(self):
         report = verify_theorem("thm21", InstanceFamily(3, 2))
