@@ -21,7 +21,8 @@ Every oracle and predicate here runs on one private kernel,
 size, then in lexicographic order, so the first hit is a minimum and
 every result is reproducible. Every minimum-cut query reads
 ``_min_cuts``, which ends with the first size that has a cut. ``scan_cuts``
-walks the minimum cuts, then, only if none is a k1 cut, the larger sizes.
+walks the minimum cuts, then, only if none is a k1 cut, the larger sizes;
+``select_optimal_min_cut`` walks only the minimum cuts.
 """
 
 from __future__ import annotations
@@ -199,6 +200,23 @@ def _min_cuts(g: Graph) -> Iterator[tuple[tuple[int, ...], int, bool]]:
     raise ValueError("the empty graph has no cuts")
 
 
+def _optimal_min_cut(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], int, bool], int]:
+    """(first minimum cut, the kernel's yield for the first minimum cut
+    leaving the fewest isolated vertices, that count); the walk stops at a
+    cut leaving none."""
+    hits = _min_cuts(g)
+    first = optimal = next(hits)
+    fewest = _isolated_mask(g.adj_bits, first[1]).bit_count()
+    if fewest:
+        for hit in hits:
+            count = _isolated_mask(g.adj_bits, hit[1]).bit_count()
+            if count < fewest:
+                optimal, fewest = hit, count
+                if count == 0:
+                    break
+    return first[0], optimal, fewest
+
+
 def scan_cuts(g: Graph) -> CutScan:
     """Run the combined connectivity / k1-connectivity sweep once.
 
@@ -207,16 +225,7 @@ def scan_cuts(g: Graph) -> CutScan:
     Otherwise the second pass walks sizes kappa + 1 .. n - 4, as a k1 cut
     leaves two components of at least two vertices each.
     """
-    hits = _min_cuts(g)
-    kappa_cut, rem, _ = next(hits)
-    optimal_cut, optimal_isolated = kappa_cut, _isolated_mask(g.adj_bits, rem).bit_count()
-    if optimal_isolated:
-        for cut, rem, _ in hits:
-            count = _isolated_mask(g.adj_bits, rem).bit_count()
-            if count < optimal_isolated:
-                optimal_cut, optimal_isolated = cut, count
-                if count == 0:
-                    break
+    kappa_cut, (optimal_cut, _, _), optimal_isolated = _optimal_min_cut(g)
     k1_cut = optimal_cut if optimal_isolated == 0 else None
     if k1_cut is None:
         for cut, rem, disconnects in _cuts_of_sizes(g, range(len(kappa_cut) + 1, g.n - 3)):
@@ -294,7 +303,7 @@ def is_super_connected(g: Graph) -> bool:
 def select_optimal_min_cut(g: Graph) -> tuple[CutCertificate, int]:
     """Among the minimum vertex cuts, one leaving the fewest isolated
     vertices (ties go to the lexicographically smallest cut); also returns
-    that minimum count. Both are read from the scan."""
+    that minimum count. Only minimum cuts are walked."""
     _require_connected_non_complete(g, "optimal-cut selection")
-    scan = scan_cuts(g)
-    return cut_certificate(g, scan.optimal_cut, kappa=scan.kappa), scan.optimal_isolated
+    _, (cut, rem, disconnects), count = _optimal_min_cut(g)
+    return _certificate(g, cut, rem, disconnects, is_minimum=True), count

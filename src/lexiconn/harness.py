@@ -17,14 +17,29 @@ factor), "thm21_complete" (complete left factor), "thm22" / "thm23" /
 quantified, because the two natural readings genuinely differ.
 
 Cut scans are memoized for the life of the process, keyed by the
-factors' adjacency bitmasks, because the reports of a sweep share their
-products; a hit builds nothing. Reports do not depend on the memo.
+isomorphism classes of the factors, because the reports of a sweep share
+their products up to relabeling; a hit builds nothing. Only invariant
+fields (kappa, k1 and the fewest isolated vertices a minimum cut leaves)
+are read from the memo, since its cuts belong to whichever labeled member
+of the class was scanned first. A factor that is disconnected or complete
+is recorded without a scan, so the hypotheses need no graph search per pair.
+A discrepancy's witness comes from a rescan of its own labeled product,
+so reports do not depend on the memo.
+
+A class key is the least edge bitmask over the vertex orderings that
+respect the cells of colour refinement. When the cells allow more than
+ORDERING_LIMIT orderings (only graphs on seven or more vertices can, the
+edgeless and complete ones among them), the key is the labeled adjacency
+itself. Isomorphic graphs get the same cells and so take the same branch:
+that loses sharing between relabelings but never merges two classes.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
+from math import factorial, prod
 from random import Random
 from typing import Iterator
 
@@ -49,6 +64,7 @@ _K1_IDS = ("thm22", "thm23", "cor24")
 
 ENUMERATION_LIMIT = 6  # all labeled graphs on up to this many vertices
 PRODUCT_LIMIT = 24  # largest product the oracles are asked to sweep
+ORDERING_LIMIT = 720  # 6!: most vertex orderings a class key tries
 
 
 def _edge_slots(n: int) -> list[tuple[int, int]]:
@@ -220,58 +236,104 @@ class VerificationReport:
         return json.dumps(self.to_json(include_wall_time=False), separators=(",", ":"))
 
 
-_SCANS: dict[tuple[tuple[int, ...], tuple[int, ...] | None], CutScan] = {}
+_CLASS_KEYS: dict[tuple[int, ...], tuple] = {}
+_SCANS: dict[tuple[tuple, tuple | None], CutScan] = {}
 
 
 def clear_caches() -> None:
+    _CLASS_KEYS.clear()
     _SCANS.clear()
 
 
-def _scan(g1: Graph, g2: Graph | None = None) -> CutScan:
-    """The memoized scan of ``g1``, or of its product with ``g2``; keyed by
-    bitmasks, not graphs, so it keeps no factor's neighbour sets alive."""
-    key = (g1.adj_bits, g2.adj_bits if g2 is not None else None)
-    hit = _SCANS.get(key)
-    if hit is None:
-        hit = scan_cuts(g1 if g2 is None else lex_product(g1, g2))
-        _SCANS[key] = hit
-    return hit
+def _class_key(g: Graph) -> tuple:
+    """A key shared exactly by the graphs isomorphic to ``g``, or, past
+    ORDERING_LIMIT orderings, a key of ``g``'s labeling alone; cached per
+    labeled adjacency."""
+    key = _CLASS_KEYS.get(g.adj_bits)
+    if key is not None:
+        return key
+    # colour refinement, from the degrees (one round from a single colour):
+    # a vertex's next colour ranks its colour with its neighbours' sorted colours
+    colours = [len(nb) for nb in g.adj]
+    count = len(set(colours))
+    while count < g.n:
+        signatures = [(colours[v], tuple(sorted(colours[w] for w in g.adj[v]))) for v in range(g.n)]
+        ranks = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
+        if len(ranks) == count:
+            break
+        colours = [ranks[sig] for sig in signatures]
+        count = len(ranks)
+    cells = [[v for v in range(g.n) if colours[v] == c] for c in sorted(set(colours))]
+    if prod(factorial(len(cell)) for cell in cells) > ORDERING_LIMIT:
+        key = ("labeled", g.adj_bits)
+    else:
+        best = -1
+        for parts in itertools.product(*map(itertools.permutations, cells)):
+            order = tuple(itertools.chain.from_iterable(parts))
+            # row by row, the adjacency of each position to every earlier one
+            code = 0
+            for i in range(1, g.n):
+                nb = g.adj[order[i]]
+                for j in range(i):
+                    code = code << 1 | (order[j] in nb)
+            if best < 0 or code < best:
+                best = code
+        key = (g.n, best)
+    _CLASS_KEYS[g.adj_bits] = key
+    return key
+
+
+def _scan(g1: Graph, g2: Graph | None = None) -> CutScan | None:
+    """The memoized scan of ``g1``'s class, or of its product with ``g2``'s;
+    read only its invariant fields, never its cuts. A factor that is
+    disconnected or complete maps to None: no rule reads its scan, which
+    can walk a number of subsets exponential in its size."""
+    key = (_class_key(g1), _class_key(g2) if g2 is not None else None)
+    if key not in _SCANS:
+        if g2 is not None:
+            _SCANS[key] = scan_cuts(lex_product(g1, g2))
+        else:
+            _SCANS[key] = scan_cuts(g1) if is_connected(g1) and not is_complete(g1) else None
+    return _SCANS[key]
 
 
 def _satisfies_hypotheses(theorem_id: str, g1: Graph, g2: Graph) -> bool:
     if theorem_id == "thm21_complete":
         return is_complete(g1)
-    if not (is_connected(g1) and not is_complete(g1)):
+    # every other rule takes a connected non-complete left factor
+    left = _scan(g1)
+    if left is None:
         return False
     if theorem_id == "thm21":
         return True
     if theorem_id in _K1_IDS:
-        return _k1_branch(_scan(g1)) == theorem_id
+        return _k1_branch(left) == theorem_id
     # super rules assume a right factor with at least two vertices
     if g2.n < 2:
         return False
+    right_connected = _scan(g2) is not None or is_complete(g2)
     if theorem_id == "super_part1":
-        return is_connected(g2)
-    if is_connected(g2):
+        return right_connected
+    if right_connected:
         return False
     if theorem_id == "super_part2":
         return not isolated_vertices(g2)
     # a connected non-complete g1 is super connected exactly when no k1 cut has size kappa
-    return bool(isolated_vertices(g2)) and _scan(g1).k1 != _scan(g1).kappa
+    return bool(isolated_vertices(g2)) and left.k1 != left.kappa
 
 
 def _evaluate(theorem_id: str, g1: Graph, g2: Graph, reading: str):
-    """(formula value, oracle value, the product cut witnessing the oracle
-    value or None)."""
+    """(formula value, oracle value, the CutScan field naming the product
+    cut that witnesses the oracle value, or None when there is none)."""
     pscan = _scan(g1, g2)
     if theorem_id in _KAPPA_IDS:
-        return ExtendedNat(lex_connectivity(g1, g2)), ExtendedNat(pscan.kappa), pscan.kappa_cut
+        return ExtendedNat(lex_connectivity(g1, g2)), ExtendedNat(pscan.kappa), "kappa_cut"
     if theorem_id in _K1_IDS:
-        return _k1_rule(_scan(g1), g2, reading)[0], pscan.k1, pscan.k1_cut
+        return _k1_rule(_scan(g1), g2, reading)[0], pscan.k1, "k1_cut" if pscan.k1.is_finite else None
     # the hypotheses make the product connected and non-complete, where the
     # first non-isolating minimum cut is the first k1 cut when it has size kappa
     refuted = pscan.k1 == pscan.kappa
-    return theorem_id == "super_part3", not refuted, pscan.k1_cut if refuted else pscan.kappa_cut
+    return theorem_id == "super_part3", not refuted, "k1_cut" if refuted else "kappa_cut"
 
 
 def verify_theorem(
@@ -298,13 +360,16 @@ def verify_theorem(
             skipped += 1
             continue
         checked += 1
-        formula, oracle, cut = _evaluate(theorem_id, g1, g2, reading)
+        formula, oracle, field = _evaluate(theorem_id, g1, g2, reading)
         if formula == oracle:
             agreements += 1
             continue
         witness = None
-        if cut is not None:
-            witness = cut_certificate(lex_product(g1, g2), cut, kappa=_scan(g1, g2).kappa)
+        if field is not None:
+            # the memo's cuts may be another labeling's: rescan this product
+            labeled = lex_product(g1, g2)
+            scan = scan_cuts(labeled)
+            witness = cut_certificate(labeled, getattr(scan, field), kappa=scan.kappa)
         discrepancies.append(
             DiscrepancyCertificate(
                 theorem_id=theorem_id,

@@ -263,6 +263,26 @@ class TestSelectOptimalMinCut:
         with pytest.raises(ValueError):
             select_optimal_min_cut(complete_graph(2))
 
+    def test_walk_stops_with_the_minimum_cuts(self, monkeypatch):
+        import lexiconn.cuts
+
+        kernel = lexiconn.cuts._vertex_cuts
+        drawn = []
+
+        def recording(g, subsets):
+            def record():
+                for subset in subsets:
+                    drawn.append(len(subset))
+                    yield subset
+
+            return kernel(g, record())
+
+        monkeypatch.setattr(lexiconn.cuts, "_vertex_cuts", recording)
+        cert, count = select_optimal_min_cut(star_graph(11))
+        assert cert.cut == (0,) and count == 11
+        # the empty set, then the twelve single vertices
+        assert len(drawn) <= 13 and max(drawn) == 1
+
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(max_n=6))
     def test_count_is_minimum_over_enumeration(self, g):

@@ -1,22 +1,32 @@
 import dataclasses
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import graph_from_mask
 from lexiconn import (
     READINGS,
     DiscrepancyCertificate,
+    Graph,
     InstanceFamily,
     complete_graph,
+    cut_certificate,
+    empty_graph,
     enumerate_labeled_graphs,
+    lex_product,
+    parse_graph6,
     random_graph,
+    scan_cuts,
     validate_certificate,
     verify_theorem,
 )
 import lexiconn.harness
 import lexiconn.lexprod
 from lexiconn.graphs import ExtendedNat
-from lexiconn.harness import clear_caches
+from lexiconn.harness import _class_key, clear_caches
 from lexiconn.io import GraphParseError
 
 
@@ -85,6 +95,53 @@ class TestInstanceFamily:
         assert first == second
 
 
+def relabeled_graphs(max_n=7):
+    """(graph, the same graph with its vertices permuted)."""
+
+    def build(n):
+        masks = st.integers(0, 2 ** (n * (n - 1) // 2) - 1)
+        return st.tuples(st.builds(graph_from_mask, st.just(n), masks), st.permutations(range(n)))
+
+    return st.integers(1, max_n).flatmap(build).map(
+        lambda pair: (pair[0], Graph(pair[0].n, [(pair[1][u], pair[1][v]) for u, v in pair[0].edges()]))
+    )
+
+
+class TestClassKey:
+    @pytest.mark.parametrize("n,classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
+    def test_one_key_per_isomorphism_class(self, n, classes):
+        assert len({_class_key(g) for g in enumerate_labeled_graphs(n)}) == classes
+
+    @settings(max_examples=150, deadline=None)
+    @given(relabeled_graphs())
+    def test_relabeling_keeps_the_key(self, pair):
+        g, relabeled = pair
+        key = _class_key(g)
+        if key[0] == "labeled":
+            # past the ordering bound only a labeling is keyed, never a class
+            assert _class_key(relabeled)[0] == "labeled"
+        else:
+            assert _class_key(relabeled) == key
+
+    def test_symmetric_24_vertex_graphs_fall_back_quickly(self):
+        clear_caches()
+        start = time.perf_counter()
+        for g in (empty_graph(24), complete_graph(24)):
+            assert _class_key(g) == ("labeled", g.adj_bits)
+        assert time.perf_counter() - start < 0.5
+
+    def test_witnesses_come_from_the_labeled_product(self):
+        # K2 + K1 has three labelings in one class, so a memoized cut could
+        # name the wrong vertices for two of them
+        report = verify_theorem("cor24", InstanceFamily(4, 3), "all_cuts")
+        witnessed = [cert for cert in report.discrepancies if cert.witness is not None]
+        assert {cert.g2 for cert in witnessed} == {"B_", "BO", "BG"}
+        for cert in witnessed:
+            product = lex_product(parse_graph6(cert.g1), parse_graph6(cert.g2))
+            scan = scan_cuts(product)
+            assert cert.witness == cut_certificate(product, scan.k1_cut, kappa=scan.kappa)
+
+
 class TestVerifyTheorem:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
@@ -117,6 +174,11 @@ class TestVerifyTheorem:
         report = verify_theorem("thm23", InstanceFamily(5, 2))
         assert report.instances_checked == 0
         assert report.agreements == 0
+
+    def test_mid_branch_rule_holds_on_six_vertex_left_factors(self):
+        report = verify_theorem("thm23", InstanceFamily(6, 3))
+        assert report.instances_checked == 40590
+        assert report.discrepancies == ()
 
     def test_super_rules_small(self):
         for theorem_id, family in (
@@ -196,6 +258,24 @@ class TestVerifyTheorem:
             "lexiconn.harness.scan_cuts": 0,
             "lexiconn.lexprod.scan_cuts": 0,
         }
+
+    def test_sweeps_scan_no_disconnected_or_complete_factor(self, monkeypatch):
+        # such a factor's scan can walk exponentially many subsets, and no rule needs it
+        from lexiconn import is_complete, is_connected
+
+        clear_caches()
+        scanned = []
+        scan = lexiconn.harness.scan_cuts
+
+        def recording(g):
+            scanned.append(g)
+            return scan(g)
+
+        monkeypatch.setattr(lexiconn.harness, "scan_cuts", recording)
+        for theorem_id in ("thm21", "thm22", "cor24", "super_part1", "super_part2", "super_part3"):
+            verify_theorem(theorem_id, InstanceFamily(4, 3))
+        assert scanned
+        assert all(is_connected(g) and not is_complete(g) for g in scanned)
 
     def test_wall_time_excluded_from_canonical_form(self):
         report = verify_theorem("thm21", InstanceFamily(3, 2))
