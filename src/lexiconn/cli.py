@@ -120,14 +120,15 @@ def _cmd_compute(args) -> int:
         raise _UsageError("no invariants requested")
     g = _load(args.graph, args.format_in)
     pairs: list[tuple[str, object]] = []
-    scan = None  # one subset sweep serves k_cut, k1, k1_cut and super
+    scan = None  # one subset sweep serves k and k_cut under --witness, k1, k1_cut and super
     try:
         for name in names:
             if name == "k":
-                pairs.append(("k", vertex_connectivity(g)))
                 if args.witness:
                     scan = scan or scan_cuts(g)
-                    pairs.append(("k_cut", list(scan.kappa_cut)))
+                    pairs += [("k", scan.kappa), ("k_cut", list(scan.kappa_cut))]
+                else:
+                    pairs.append(("k", vertex_connectivity(g)))
             elif name == "k1":
                 scan = scan or scan_cuts(g)
                 pairs.append(("k1", scan.k1.to_json()))

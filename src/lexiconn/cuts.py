@@ -22,7 +22,9 @@ size, then in lexicographic order, so the first hit is a minimum and
 every result is reproducible. Every minimum-cut query reads
 ``_min_cuts``, which ends with the first size that has a cut. ``scan_cuts``
 walks the minimum cuts, then, only if none is a k1 cut, the larger sizes;
-``select_optimal_min_cut`` walks only the minimum cuts.
+``select_optimal_min_cut``, ``find_non_isolating_min_cut`` and
+``is_super_connected`` read ``_optimal_min_cut``, one walk of the minimum
+cuts that stops at the first one isolating nobody.
 """
 
 from __future__ import annotations
@@ -281,8 +283,8 @@ def find_non_isolating_min_cut(g: Graph) -> tuple[int, ...] | None:
     super connected.
     """
     _require_connected_non_complete(g, "super-connectivity testing")
-    # leaving no isolated vertex implies disconnecting: a one-vertex remainder is isolated
-    return next((cut for cut, rem, _ in _min_cuts(g) if not _isolated_mask(g.adj_bits, rem)), None)
+    _, (cut, _, _), isolated = _optimal_min_cut(g)
+    return None if isolated else cut
 
 
 def is_super_connected(g: Graph) -> bool:
@@ -297,7 +299,8 @@ def is_super_connected(g: Graph) -> bool:
         return False
     if is_complete(g):
         return True
-    return find_non_isolating_min_cut(g) is None
+    # some minimum cut isolates nobody exactly when the fewest isolated is 0
+    return _optimal_min_cut(g)[2] > 0
 
 
 def select_optimal_min_cut(g: Graph) -> tuple[CutCertificate, int]:

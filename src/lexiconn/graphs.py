@@ -207,72 +207,46 @@ def is_complete(g: Graph) -> bool:
     return all(len(s) == g.n - 1 for s in g.adj)
 
 
-def _min_vertex_cut_between(g: Graph, s: int, t: int, cap: int) -> int:
-    """Maximum number of internally disjoint s-t paths, capped at ``cap``.
+def _disjoint_paths(to: list[int], out_arcs: list[list[int]], s: int, t: int, cap: int) -> int:
+    """Maximum number of internally disjoint paths between non-adjacent
+    s and t, capped at ``cap``: a max flow from out(s) to in(t) in the
+    split network of ``vertex_connectivity``, from a fresh zero flow.
 
-    Standard vertex-splitting reduction: every vertex v becomes an arc
-    in(v) -> out(v) of capacity 1 (capacity n for the terminals), every
-    edge xy becomes arcs out(x) -> in(y) and out(y) -> in(x) of capacity n.
-    Max flow from out(s) to in(t) then equals the minimum s-t vertex cut
-    for non-adjacent s, t. Augmenting paths are found by BFS; each one
-    carries exactly one unit because it crosses an internal split arc.
+    Every arc has capacity one, which is exact. k internally disjoint
+    paths use distinct arcs, so they are a flow of value k; a flow splits
+    into paths that share no inner split arc, so into internally disjoint
+    paths. The split arcs of s and t lie on no simple path from out(s) to
+    in(t), so their capacity does not matter either. Residual capacities
+    stay 0 or 1, so each BFS augmenting path carries exactly one unit.
     """
-    n = g.n
-    size = 2 * n
-    # edge list with paired reverse arcs at idx ^ 1
-    to: list[int] = []
-    capacity: list[int] = []
-    out_arcs: list[list[int]] = [[] for _ in range(size)]
-
-    def add_arc(u: int, v: int, c: int) -> None:
-        out_arcs[u].append(len(to))
-        to.append(v)
-        capacity.append(c)
-        out_arcs[v].append(len(to))
-        to.append(u)
-        capacity.append(0)
-
-    for v in range(n):
-        add_arc(2 * v, 2 * v + 1, n if v in (s, t) else 1)
-    for u in range(n):
-        for w in g.adj[u]:
-            if u < w:
-                add_arc(2 * u + 1, 2 * w, n)
-                add_arc(2 * w + 1, 2 * u, n)
-
+    residual = [1, 0] * (len(to) // 2)
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < cap:
-        parent_arc = [-1] * size
+        parent_arc = [-1] * len(out_arcs)
         parent_arc[source] = -2
         queue = deque([source])
         while queue and parent_arc[sink] == -1:
             u = queue.popleft()
             for idx in out_arcs[u]:
-                if capacity[idx] > 0 and parent_arc[to[idx]] == -1:
+                if residual[idx] and parent_arc[to[idx]] == -1:
                     parent_arc[to[idx]] = idx
                     queue.append(to[idx])
         if parent_arc[sink] == -1:
             break
-        # bottleneck along the augmenting path
-        bottleneck = cap - flow
         v = sink
         while v != source:
             idx = parent_arc[v]
-            bottleneck = min(bottleneck, capacity[idx])
+            residual[idx] = 0
+            residual[idx ^ 1] = 1
             v = to[idx ^ 1]
-        v = sink
-        while v != source:
-            idx = parent_arc[v]
-            capacity[idx] -= bottleneck
-            capacity[idx ^ 1] += bottleneck
-            v = to[idx ^ 1]
-        flow += bottleneck
+        flow += 1
     return flow
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Vertex connectivity via max flow over vertex-split networks.
+    """Vertex connectivity via unit-capacity max flow over one
+    vertex-split network, built once per call and shared by every pair.
 
     Conventions: 0 for disconnected graphs and the one-vertex graph,
     n - 1 for complete graphs (their only cuts shrink the graph to a
@@ -281,7 +255,7 @@ def vertex_connectivity(g: Graph) -> int:
     minimum cut between v and each of its non-neighbors, and between
     each neighbor of v and that neighbor's non-neighbors. Any minimum
     cut misses v or misses some neighbor of v, so one of these pairs
-    straddles it.
+    straddles it. Each pair's flow stops at the best cut found so far.
     """
     if g.n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
@@ -291,13 +265,24 @@ def vertex_connectivity(g: Graph) -> int:
         return 0
     if is_complete(g):
         return g.n - 1
+    # arcs in(v) -> out(v) (nodes 2v, 2v + 1) and out(x) -> in(y) for every
+    # edge xy in both directions; arc idx runs to to[idx], its reverse is idx ^ 1
+    to: list[int] = []
+    out_arcs: list[list[int]] = [[] for _ in range(2 * g.n)]
+    arcs = [(2 * v, 2 * v + 1) for v in range(g.n)]
+    arcs += [(2 * x + 1, 2 * y) for x in range(g.n) for y in g.adj[x]]
+    for x, y in arcs:
+        out_arcs[x].append(len(to))
+        to.append(y)
+        out_arcs[y].append(len(to))
+        to.append(x)
     v = min(range(g.n), key=lambda u: (len(g.adj[u]), u))
     best = g.n - 1
     for u in range(g.n):
         if u != v and u not in g.adj[v]:
-            best = min(best, _min_vertex_cut_between(g, v, u, best))
+            best = min(best, _disjoint_paths(to, out_arcs, v, u, best))
     for w in sorted(g.adj[v]):
         for u in range(g.n):
             if u != w and u not in g.adj[w]:
-                best = min(best, _min_vertex_cut_between(g, w, u, best))
+                best = min(best, _disjoint_paths(to, out_arcs, w, u, best))
     return best

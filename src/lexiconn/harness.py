@@ -46,7 +46,7 @@ from typing import Iterator
 from .cuts import CutCertificate, CutScan, cut_certificate, is_super_connected, scan_cuts
 from .graphs import ExtendedNat, Graph, is_complete, is_connected, isolated_vertices
 from .io import parse_graph6, serialize_graph6
-from .lexprod import READINGS, _k1_branch, _k1_rule, lex_connectivity, lex_product
+from .lexprod import READINGS, _k1_branch, _k1_rule, _kappa_rule, lex_product
 
 THEOREM_IDS = (
     "thm21",
@@ -327,7 +327,9 @@ def _evaluate(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     cut that witnesses the oracle value, or None when there is none)."""
     pscan = _scan(g1, g2)
     if theorem_id in _KAPPA_IDS:
-        return ExtendedNat(lex_connectivity(g1, g2)), ExtendedNat(pscan.kappa), "kappa_cut"
+        # thm21_complete's hypothesis already made the left factor complete
+        kappa1 = _scan(g1).kappa if theorem_id == "thm21" else g1.n - 1
+        return ExtendedNat(_kappa_rule(g1.n, kappa1, g2)), ExtendedNat(pscan.kappa), "kappa_cut"
     if theorem_id in _K1_IDS:
         return _k1_rule(_scan(g1), g2, reading)[0], pscan.k1, "k1_cut" if pscan.k1.is_finite else None
     # the hypotheses make the product connected and non-complete, where the
@@ -395,13 +397,13 @@ def verify_theorem(
 
 
 def validate_certificate(cert: DiscrepancyCertificate) -> bool:
-    """Rebuild the instance from the certificate and recheck everything.
+    """Rebuild the instance from the certificate and recheck it.
 
-    The factors are reparsed from graph6 (parse failures raise), the
-    product is reconstructed, the oracle value is recomputed and the
-    witness flags are reverified field by field. A certificate whose
-    formula and oracle values agree violates the type's whole point and
-    is invalid.
+    The factors are reparsed from graph6 (parse failures raise) and the
+    product is rebuilt. The kappa and k1 oracle values come from the class
+    memo (a fresh process rescans); the super value and the witness flags
+    are recomputed on the rebuilt product. A certificate whose formula and
+    oracle values agree violates the type's whole point and is invalid.
     """
     if cert.theorem_id not in THEOREM_IDS:
         return False

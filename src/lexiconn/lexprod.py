@@ -27,8 +27,10 @@ reports:
 Every k1 fast path attaches a witness cut built by lifting factor cuts
 into the product. The witness is verified against the product before the
 value is reported; when verification fails the answer falls back to the
-brute-force oracle and says so via the "oracle_fallback" branch, so the
-library never asserts an unverified closed-form output.
+brute-force oracle and says so via the "oracle_fallback" branch. A
+verified witness proves only that k1 is at most the value, so an
+overestimate goes uncaught: "cor24" gives 14 for graph6 ``Fi`AO`` by
+K2 + 3K1, where a lifted k1 cut has 13 vertices.
 """
 
 from __future__ import annotations
@@ -136,6 +138,15 @@ def lift_k1_cut(g1: Graph, g2: Graph, cut) -> tuple[int, ...]:
     return tuple(sorted(lifted))
 
 
+def _kappa_rule(n1: int, kappa1: int, g2: Graph) -> int:
+    """Connectivity of a product whose left factor has n1 vertices and
+    connectivity ``kappa1``: the left factor is complete exactly when
+    kappa1 = n1 - 1 (K1 included), and only then is kappa(g2) computed."""
+    if kappa1 == n1 - 1:
+        return (n1 - 1) * g2.n + vertex_connectivity(g2)
+    return kappa1 * g2.n
+
+
 def lex_connectivity(g1: Graph, g2: Graph) -> int:
     """Closed-form connectivity of the product.
 
@@ -145,11 +156,7 @@ def lex_connectivity(g1: Graph, g2: Graph) -> int:
     """
     if g1.n == 0 or g2.n == 0:
         raise ValueError("product factors must be non-empty")
-    if not is_connected(g1):
-        return 0
-    if is_complete(g1):
-        return (g1.n - 1) * g2.n + vertex_connectivity(g2)
-    return vertex_connectivity(g1) * g2.n
+    return _kappa_rule(g1.n, vertex_connectivity(g1), g2)
 
 
 def _k1_branch(left: CutScan) -> str:

@@ -77,6 +77,21 @@ class TestCompute:
             assert json.loads(out)["super"] is expected
         assert calls == []
 
+    def test_k_under_witness_reads_the_scan(self, capsys, monkeypatch, tmp_path):
+        import lexiconn.cli
+        from lexiconn import vertex_connectivity
+
+        calls = []
+        monkeypatch.setattr(lexiconn.cli, "vertex_connectivity", lambda g: calls.append(g) or vertex_connectivity(g))
+        graphs = [random_graph(1 + seed % 9, 0.5, seed) for seed in range(20)] + [complete_graph(4)]
+        for i, g in enumerate(graphs):
+            path = tmp_path / f"g{i}.g6"
+            path.write_text(serialize_graph6(g) + "\n")
+            code, out, _ = run_cli(capsys, "compute", str(path), "--invariants", "k", "--witness")
+            assert code == EX_OK
+            assert json.loads(out)["k"] == vertex_connectivity(g)
+        assert calls == []
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "compute", "no-such-file.g6")
         assert code == EX_INPUT

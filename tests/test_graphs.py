@@ -14,6 +14,7 @@ from lexiconn import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    enumerate_labeled_graphs,
     is_complete,
     is_connected,
     isolated_vertices,
@@ -200,3 +201,8 @@ class TestVertexConnectivity:
     @given(graphs(max_n=6))
     def test_matches_independent_brute_force(self, g):
         assert vertex_connectivity(g) == brute_kappa(g)
+
+    def test_matches_enumeration_oracle_on_every_small_labeled_graph(self):
+        for n in range(1, 7):
+            for g in enumerate_labeled_graphs(n):
+                assert vertex_connectivity(g) == vertex_connectivity_oracle(g), g.edges()

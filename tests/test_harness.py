@@ -259,6 +259,28 @@ class TestVerifyTheorem:
             "lexiconn.lexprod.scan_cuts": 0,
         }
 
+    def test_kappa_rules_read_the_left_factor_without_a_max_flow(self, monkeypatch):
+        # thm21 reads kappa(g1) from the memo, thm21_complete knows it is n1 - 1;
+        # only a complete left factor's rule needs kappa(g2)
+        from lexiconn.graphs import vertex_connectivity
+
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return vertex_connectivity(g)
+
+        monkeypatch.setattr(lexiconn.lexprod, "vertex_connectivity", counting)
+        # the harness does not import it today; a future direct call is counted too
+        monkeypatch.setattr(lexiconn.harness, "vertex_connectivity", counting, raising=False)
+        clear_caches()
+        report = verify_theorem("thm21", InstanceFamily(4, 2))
+        assert report.instances_checked > 0 and report.discrepancies == ()
+        assert calls == []
+        report = verify_theorem("thm21_complete", InstanceFamily(4, 2))
+        assert report.instances_checked == len(calls) == 12
+        assert report.discrepancies == ()
+
     def test_sweeps_scan_no_disconnected_or_complete_factor(self, monkeypatch):
         # such a factor's scan can walk exponentially many subsets, and no rule needs it
         from lexiconn import is_complete, is_connected

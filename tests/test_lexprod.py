@@ -26,6 +26,7 @@ from lexiconn import (
     lex_super_connected,
     lift_k1_cut,
     lift_min_cut,
+    parse_graph6,
     path_graph,
     scan_cuts,
     star_graph,
@@ -278,6 +279,18 @@ class TestLexK1Connectivity:
             assert result.witness is None
         if result.branch == "oracle_fallback":
             assert result.value == scan_cuts(product).k1
+
+    def test_no_cut_left_factor_lifts_a_13_vertex_k1_cut(self):
+        # past the oracle budget (35 vertices), so only this cut bounds k1 there
+        g1, g2 = parse_graph6("Fi`AO"), disjoint_union(complete_graph(2), empty_graph(3))
+        lifted = lift_k1_cut(g1, g2, (0, 6))
+        assert len(lifted) == 13
+        assert is_k1_vertex_cut(lex_product(g1, g2), lifted)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="cor24 overestimates; needs an exact k1 rule")
+    def test_no_cut_rule_is_not_an_overestimate(self):
+        g1, g2 = parse_graph6("Fi`AO"), disjoint_union(complete_graph(2), empty_graph(3))
+        assert lex_k1_connectivity(g1, g2).value <= 13
 
 
 class TestLexSuperConnected:
