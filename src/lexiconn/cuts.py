@@ -5,7 +5,7 @@ what a subset of vertices does to a graph, subset-enumeration oracles for
 connectivity and isolation-free connectivity, minimum-cut enumeration and
 the super-connectivity test built on it. It deliberately shares nothing
 with the max-flow connectivity in :mod:`lexiconn.graphs` beyond the Graph
-type, so the two routes can check each other.
+type and its bit helper, so the two routes can check each other.
 
 Terminology. A vertex cut is a subset whose removal disconnects the graph
 or shrinks it to a single vertex (removing everything does not count). An
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterator
 
-from .graphs import INFINITY, ExtendedNat, Graph, is_complete, is_connected, vertex_set
+from .graphs import INFINITY, ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected, vertex_set
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,6 @@ def _isolated_mask(adj_bits, rem: int) -> int:
         if not adj_bits[b.bit_length() - 1] & rem:
             mask |= b
     return mask
-
-
-def _bits_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
-    return tuple(out)
 
 
 def _vertex_cuts(g: Graph, subsets) -> Iterator[tuple[tuple[int, ...], int, bool]]:

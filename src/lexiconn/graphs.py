@@ -1,7 +1,7 @@
 """Simple undirected graphs and their basic connectivity invariants.
 
-Vertices are dense integer ids 0..n-1, adjacency is a symmetric family of
-neighbor sets, and every value here is immutable. All functions are pure,
+Vertices are dense integer ids 0..n-1, adjacency is one integer bitmask
+per vertex, and every value here is immutable. All functions are pure,
 so graphs can be shared freely between threads.
 """
 
@@ -92,70 +92,73 @@ INFINITY = ExtendedNat()
 class Graph:
     """An immutable simple undirected graph on vertices 0..n-1.
 
-    ``adj`` is a tuple of frozensets (neighbor ids per vertex) and
-    ``adj_bits`` the same adjacency as integer bitmasks, which the
-    enumeration code uses for fast subset work. Self loops are rejected
-    and edges are symmetrized on construction.
+    ``adj_bits`` is the whole adjacency: one integer bitmask per vertex,
+    bit w of ``adj_bits[v]`` set when v and w are adjacent. Self loops are
+    rejected and edges are symmetrized on construction.
     """
 
-    __slots__ = ("n", "adj", "adj_bits")
+    __slots__ = ("n", "adj_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        neighbors: list[set[int]] = [set() for _ in range(n)]
+        bits = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            neighbors[u].add(v)
-            neighbors[v].add(u)
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
         self.n = n
-        self.adj = tuple(frozenset(s) for s in neighbors)
-        bits = []
-        for s in self.adj:
-            mask = 0
-            for v in s:
-                mask |= 1 << v
-            bits.append(mask)
         self.adj_bits = tuple(bits)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_bits[v].bit_count()
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
+        return frozenset(_bits_to_tuple(self.adj_bits[v]))
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        return [(u, v) for u in range(self.n) for v in _bits_to_tuple(self.adj_bits[u]) if u < v]
 
     @property
     def num_edges(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return sum(b.bit_count() for b in self.adj_bits) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return v >= 0 and bool(self.adj_bits[u] >> v & 1)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.adj == other.adj
+        return self.n == other.n and self.adj_bits == other.adj_bits
 
     def __hash__(self):
-        return hash((self.n, self.adj))
+        return hash((self.n, self.adj_bits))
 
     def __repr__(self):
         return f"<Graph n={self.n} m={self.num_edges}>"
 
 
+def _bits_to_tuple(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(b.bit_length() - 1)
+    return tuple(out)
+
+
 def vertex_set(vertices: Iterable[int], n: int | None = None) -> tuple[int, ...]:
     """Normalize a collection of vertex ids to the canonical sorted,
     duplicate-free tuple, optionally validating ids against a vertex count."""
-    out = tuple(sorted(set(vertices)))
-    if out and (not isinstance(out[0], int) or isinstance(out[0], bool)):
+    ids = tuple(vertices)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in ids):
         raise TypeError("vertex ids must be ints")
+    out = tuple(sorted(set(ids)))
     if n is not None:
         for v in out:
             if not 0 <= v < n:
@@ -165,35 +168,34 @@ def vertex_set(vertices: Iterable[int], n: int | None = None) -> tuple[int, ...]
 
 def isolated_vertices(g: Graph) -> tuple[int, ...]:
     """All degree-0 vertices, sorted."""
-    return tuple(v for v in range(g.n) if not g.adj[v])
+    return tuple(v for v, b in enumerate(g.adj_bits) if not b)
 
 
 def min_degree(g: Graph) -> int:
     if g.n == 0:
         raise ValueError("minimum degree of the empty graph is undefined")
-    return min(len(s) for s in g.adj)
+    return min(b.bit_count() for b in g.adj_bits)
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Components as sorted vertex tuples, ordered by smallest member."""
     if g.n == 0:
         raise ValueError("the empty graph has no components")
-    seen = [False] * g.n
     comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        comp = [start]
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
+    left = (1 << g.n) - 1
+    while left:
+        # flood from the smallest vertex not yet placed
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                reach |= g.adj_bits[b.bit_length() - 1]
+            frontier = reach & ~comp
+            comp |= frontier
+        comps.append(_bits_to_tuple(comp))
+        left ^= comp
     return comps
 
 
@@ -204,7 +206,7 @@ def is_connected(g: Graph) -> bool:
 def is_complete(g: Graph) -> bool:
     if g.n == 0:
         raise ValueError("completeness of the empty graph is undefined")
-    return all(len(s) == g.n - 1 for s in g.adj)
+    return all(b.bit_count() == g.n - 1 for b in g.adj_bits)
 
 
 def _disjoint_paths(to: list[int], out_arcs: list[list[int]], s: int, t: int, cap: int) -> int:
@@ -267,22 +269,24 @@ def vertex_connectivity(g: Graph) -> int:
         return g.n - 1
     # arcs in(v) -> out(v) (nodes 2v, 2v + 1) and out(x) -> in(y) for every
     # edge xy in both directions; arc idx runs to to[idx], its reverse is idx ^ 1
+    bits = g.adj_bits
     to: list[int] = []
     out_arcs: list[list[int]] = [[] for _ in range(2 * g.n)]
     arcs = [(2 * v, 2 * v + 1) for v in range(g.n)]
-    arcs += [(2 * x + 1, 2 * y) for x in range(g.n) for y in g.adj[x]]
+    arcs += [(2 * x + 1, 2 * y) for x in range(g.n) for y in range(g.n) if bits[x] >> y & 1]
     for x, y in arcs:
         out_arcs[x].append(len(to))
         to.append(y)
         out_arcs[y].append(len(to))
         to.append(x)
-    v = min(range(g.n), key=lambda u: (len(g.adj[u]), u))
+    v = min(range(g.n), key=lambda u: bits[u].bit_count())
     best = g.n - 1
     for u in range(g.n):
-        if u != v and u not in g.adj[v]:
+        if u != v and not bits[v] >> u & 1:
             best = min(best, _disjoint_paths(to, out_arcs, v, u, best))
-    for w in sorted(g.adj[v]):
-        for u in range(g.n):
-            if u != w and u not in g.adj[w]:
-                best = min(best, _disjoint_paths(to, out_arcs, w, u, best))
+    for w in range(g.n):
+        if bits[v] >> w & 1:
+            for u in range(g.n):
+                if u != w and not bits[w] >> u & 1:
+                    best = min(best, _disjoint_paths(to, out_arcs, w, u, best))
     return best

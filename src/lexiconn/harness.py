@@ -44,7 +44,7 @@ from random import Random
 from typing import Iterator
 
 from .cuts import CutCertificate, CutScan, cut_certificate, is_super_connected, scan_cuts
-from .graphs import ExtendedNat, Graph, is_complete, is_connected, isolated_vertices
+from .graphs import ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected, isolated_vertices
 from .io import parse_graph6, serialize_graph6
 from .lexprod import READINGS, _k1_branch, _k1_rule, _kappa_rule, lex_product
 
@@ -249,15 +249,16 @@ def _class_key(g: Graph) -> tuple:
     """A key shared exactly by the graphs isomorphic to ``g``, or, past
     ORDERING_LIMIT orderings, a key of ``g``'s labeling alone; cached per
     labeled adjacency."""
-    key = _CLASS_KEYS.get(g.adj_bits)
+    bits = g.adj_bits
+    key = _CLASS_KEYS.get(bits)
     if key is not None:
         return key
     # colour refinement, from the degrees (one round from a single colour):
     # a vertex's next colour ranks its colour with its neighbours' sorted colours
-    colours = [len(nb) for nb in g.adj]
+    colours = [b.bit_count() for b in bits]
     count = len(set(colours))
     while count < g.n:
-        signatures = [(colours[v], tuple(sorted(colours[w] for w in g.adj[v]))) for v in range(g.n)]
+        signatures = [(c, tuple(sorted(map(colours.__getitem__, _bits_to_tuple(b))))) for c, b in zip(colours, bits)]
         ranks = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
         if len(ranks) == count:
             break
@@ -265,7 +266,7 @@ def _class_key(g: Graph) -> tuple:
         count = len(ranks)
     cells = [[v for v in range(g.n) if colours[v] == c] for c in sorted(set(colours))]
     if prod(factorial(len(cell)) for cell in cells) > ORDERING_LIMIT:
-        key = ("labeled", g.adj_bits)
+        key = ("labeled", bits)
     else:
         best = -1
         for parts in itertools.product(*map(itertools.permutations, cells)):
@@ -273,13 +274,13 @@ def _class_key(g: Graph) -> tuple:
             # row by row, the adjacency of each position to every earlier one
             code = 0
             for i in range(1, g.n):
-                nb = g.adj[order[i]]
-                for j in range(i):
-                    code = code << 1 | (order[j] in nb)
+                nb = bits[order[i]]
+                for w in order[:i]:
+                    code = code << 1 | nb >> w & 1
             if best < 0 or code < best:
                 best = code
         key = (g.n, best)
-    _CLASS_KEYS[g.adj_bits] = key
+    _CLASS_KEYS[bits] = key
     return key
 
 

@@ -47,6 +47,7 @@ from .cuts import (
 from .graphs import (
     ExtendedNat,
     Graph,
+    _bits_to_tuple,
     is_complete,
     is_connected,
     isolated_vertices,
@@ -92,19 +93,9 @@ def lex_product(g1: Graph, g2: Graph) -> Graph:
     if g1.n == 0 or g2.n == 0:
         raise ValueError("product factors must be non-empty")
     m = g2.n
-    edges = []
-    for i in range(g1.n):
-        base = i * m
-        for p in g1.adj[i]:
-            if p > i:
-                pbase = p * m
-                for j in range(m):
-                    for q in range(m):
-                        edges.append((base + j, pbase + q))
-        for j in range(m):
-            for q in g2.adj[j]:
-                if q > j:
-                    edges.append((base + j, base + q))
+    right = g2.edges()
+    edges = [(i * m + j, i * m + q) for i in range(g1.n) for j, q in right]
+    edges += [(i * m + j, p * m + q) for i, p in g1.edges() for j in range(m) for q in range(m)]
     return Graph(g1.n * m, edges)
 
 
@@ -131,11 +122,15 @@ def lift_k1_cut(g1: Graph, g2: Graph, cut) -> tuple[int, ...]:
     if not is_vertex_cut(g1, cut):
         raise ValueError("lift_k1_cut requires a vertex cut of the left factor")
     m = g2.n
-    cut_set = set(cut)
-    stranded = [x for x in range(g1.n) if x not in cut_set and g1.adj[x] <= cut_set]
-    lifted = {i * m + j for i in cut for j in range(m)}
-    lifted.update(x * m + j for x in stranded for j in isolated_vertices(g2))
-    return tuple(sorted(lifted))
+    cut_mask = sum(1 << x for x in cut)
+    isolated_mask = sum(1 << j for j in isolated_vertices(g2))
+    lifted = 0
+    for x in range(g1.n):
+        if cut_mask >> x & 1:
+            lifted |= ((1 << m) - 1) << x * m
+        elif not g1.adj_bits[x] & ~cut_mask:
+            lifted |= isolated_mask << x * m
+    return _bits_to_tuple(lifted)
 
 
 def _kappa_rule(n1: int, kappa1: int, g2: Graph) -> int:
@@ -187,9 +182,8 @@ def _k1_rule(left: CutScan, g2: Graph, reading: str) -> tuple[ExtendedNat, str]:
 def k1_product_formula(g1: Graph, g2: Graph, reading: str = "min_cuts_only") -> tuple[ExtendedNat, str]:
     """Raw closed-form k1 value for the product, with its branch label.
 
-    No witness is built or checked here; this is the formula side the
-    verification harness compares against the oracle. ``reading`` selects
-    the quantifier for the isolation count: "min_cuts_only" minimizes the
+    No witness is built or checked here. ``reading`` selects the
+    quantifier for the isolation count: "min_cuts_only" minimizes the
     leftover isolated vertices over minimum cuts of the left factor,
     "all_cuts" minimizes over vertex cuts of every size.
     """
@@ -208,12 +202,12 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     """k1 connectivity of the product, closed form first, oracle as backstop.
 
     For connected non-complete left factors the matching closed-form rule
-    is evaluated and a witness cut is lifted from the factor (rows of a
-    minimum isolation-free cut, or the stranded-copies augmentation of an
-    optimal minimum cut, whichever realizes the value). The witness must
-    check out as an isolation-free cut of the product of exactly the
-    claimed size; otherwise, and for complete left factors, the product
-    is scanned by brute force.
+    is evaluated and a witness cut is lifted from the factor: the shorter
+    of the rows of a minimum isolation-free cut, when there is one, and
+    the stranded-copies augmentation of an optimal minimum cut, the rows
+    on a tie. The witness must check out as an isolation-free cut of the
+    product of exactly the claimed size; otherwise, and for complete left
+    factors, the product is scanned by brute force.
     """
     if g1.n == 0 or g2.n == 0:
         raise ValueError("product factors must be non-empty")
@@ -224,14 +218,9 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     if not is_complete(g1):
         left = scan_cuts(g1)
         value, branch = _k1_rule(left, g2, "min_cuts_only")
-        if branch == "thm22":
-            witness = lift_min_cut(left.k1_cut, m)
-        elif branch == "thm23":
-            rows = lift_min_cut(left.k1_cut, m)
-            augmented = lift_k1_cut(g1, g2, left.optimal_cut)
-            witness = rows if len(rows) <= len(augmented) else augmented
-        else:
-            witness = lift_k1_cut(g1, g2, left.optimal_cut)
+        # min keeps the first of equal lengths, so a tie goes to the rows
+        lifts = [lift_min_cut(left.k1_cut, m)] if left.k1_cut is not None else []
+        witness = min(lifts + [lift_k1_cut(g1, g2, left.optimal_cut)], key=len)
         if len(witness) == value and is_k1_vertex_cut(product, witness):
             return LexK1Result(value=value, branch=branch, witness=witness)
     scan = scan_cuts(product)

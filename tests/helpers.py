@@ -11,7 +11,7 @@ from lexiconn import Graph
 
 
 def adjacency(g: Graph) -> dict[int, set[int]]:
-    return {v: set(g.adj[v]) for v in range(g.n)}
+    return {v: {w for w in range(g.n) if g.adj_bits[v] >> w & 1} for v in range(g.n)}
 
 
 def components_without(adj: dict[int, set[int]], banned: set[int]) -> list[set[int]]:
@@ -95,8 +95,8 @@ def brute_least_isolating(g: Graph) -> tuple[tuple[int, ...], int]:
 def brute_product_adjacent(g1: Graph, g2: Graph, a: tuple[int, int], b: tuple[int, int]) -> bool:
     (i, j), (p, q) = a, b
     if i != p:
-        return p in g1.adj[i]
-    return q in g2.adj[j]
+        return bool(g1.adj_bits[i] >> p & 1)
+    return bool(g2.adj_bits[j] >> q & 1)
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:

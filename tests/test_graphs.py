@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_kappa, graph_from_mask
+from helpers import adjacency, brute_kappa, components_without, graph_from_mask
 from lexiconn import (
     INFINITY,
     ExtendedNat,
@@ -17,7 +17,9 @@ from lexiconn import (
     enumerate_labeled_graphs,
     is_complete,
     is_connected,
+    is_vertex_cut,
     isolated_vertices,
+    lift_min_cut,
     min_degree,
     path_graph,
     star_graph,
@@ -107,10 +109,10 @@ class TestGraph:
     @given(graphs())
     def test_adjacency_invariants(self, g):
         for v in range(g.n):
-            assert v not in g.adj[v]
-            for w in g.adj[v]:
+            assert v not in g.neighbors(v)
+            for w in g.neighbors(v):
                 assert 0 <= w < g.n
-                assert v in g.adj[w]
+                assert v in g.neighbors(w)
 
     def test_equality_and_hash(self):
         assert path_graph(3) == Graph(3, [(1, 2), (0, 1)])
@@ -120,6 +122,32 @@ class TestGraph:
     def test_edges_sorted(self):
         assert cycle_graph(3).edges() == [(0, 1), (0, 2), (1, 2)]
 
+    @given(
+        st.integers(2, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])),
+            )
+        )
+    )
+    def test_accessors_agree_with_edge_list(self, case):
+        n, edge_list = case
+        g = Graph(n, edge_list)
+        normalized = sorted({(min(u, v), max(u, v)) for u, v in edge_list})
+        assert g.edges() == normalized
+        assert g.num_edges == len(normalized)
+        for v in range(n):
+            expected = frozenset(w for e in normalized if v in e for w in e if w != v)
+            assert g.neighbors(v) == expected
+            assert g.degree(v) == len(expected)
+            for w in range(n):
+                assert g.has_edge(v, w) == ((min(v, w), max(v, w)) in normalized)
+        same = Graph(n, [(v, u) for u, v in reversed(normalized)])
+        assert g == same and hash(g) == hash(same)
+        assert g != Graph(n + 1, normalized)
+        if normalized:
+            assert g != Graph(n, normalized[1:])
+
 
 def test_vertex_set_normalizes():
     assert vertex_set([3, 1, 1, 2]) == (1, 2, 3)
@@ -128,6 +156,16 @@ def test_vertex_set_normalizes():
         vertex_set([5], n=5)
     with pytest.raises(TypeError):
         vertex_set([True])
+
+
+def test_vertex_set_checks_every_id():
+    for ids in ([0, 1.5], [0, True], [0, "a"], [2, 1, 3.0]):
+        with pytest.raises(TypeError, match="vertex ids must be ints"):
+            vertex_set(ids)
+    with pytest.raises(TypeError, match="vertex ids must be ints"):
+        lift_min_cut([0, 1.5], 2)
+    with pytest.raises(TypeError, match="vertex ids must be ints"):
+        is_vertex_cut(path_graph(3), [0, 1.5])
 
 
 def test_isolated_vertices_examples():
@@ -154,6 +192,13 @@ def test_components_and_classification():
         connected_components(empty_graph(0))
     with pytest.raises(ValueError):
         is_complete(empty_graph(0))
+
+
+def test_components_match_reachability_on_every_small_labeled_graph():
+    for n in range(1, 7):
+        for g in enumerate_labeled_graphs(n):
+            expected = [tuple(sorted(c)) for c in components_without(adjacency(g), set())]
+            assert connected_components(g) == expected, g.edges()
 
 
 @given(graphs())

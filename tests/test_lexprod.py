@@ -1,3 +1,6 @@
+import tracemalloc
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,7 @@ from lexiconn import (
     lift_min_cut,
     parse_graph6,
     path_graph,
+    random_graph,
     scan_cuts,
     star_graph,
     vertex_connectivity,
@@ -89,8 +93,23 @@ class TestLexProduct:
     def test_not_commutative(self):
         left = lex_product(path_graph(3), complete_graph(2))
         right = lex_product(complete_graph(2), path_graph(3))
-        degrees = lambda g: sorted(len(g.adj[v]) for v in range(g.n))  # noqa: E731
+        degrees = lambda g: sorted(g.degree(v) for v in range(g.n))  # noqa: E731
         assert degrees(left) != degrees(right)
+
+    def test_products_keep_no_per_vertex_containers(self):
+        # the bitmasks of a 15-vertex product take well under 1 KB; one
+        # container per vertex on top of them would take several
+        rng = Random(0)
+        factors = [random_graph(5, 0.5, rng.getrandbits(32)) for _ in range(200)]
+        k3 = complete_graph(3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            products = [lex_product(g, k3) for g in factors]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / len(products) < 2048
 
 
 class TestLiftMinCut:
@@ -152,7 +171,7 @@ class TestLiftK1Cut:
         product = lex_product(g1, g2)
         remaining = set(range(product.n)) - set(lifted)
         for v in remaining:
-            assert product.adj[v] & remaining
+            assert product.neighbors(v) & remaining
 
 
 class TestLexConnectivity:
