@@ -5,7 +5,8 @@
 # SUPER-connected left factor forces the product to be super connected.
 # This demo shows the hypothesis on the left factor is not optional:
 # the bowtie (two triangles sharing a hub) is NOT super connected, and
-# its product inherits a minimum cut that strands nobody.
+# its product inherits a minimum cut that strands nobody. The exact rule
+# answers that case from the factors alone, with branch left_not_super.
 #
 #   python demos/03_bowtie_counterexample.py
 

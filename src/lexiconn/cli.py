@@ -136,10 +136,7 @@ def _cmd_compute(args) -> int:
                     cut = scan.k1_cut
                     pairs.append(("k1_cut", list(cut) if cut is not None else None))
             elif name == "super":
-                # 0 < kappa < n - 1 exactly when g is connected and non-complete,
-                # and then g is super connected unless a k1 cut has size kappa
-                from_scan = scan is not None and 0 < scan.kappa < g.n - 1
-                pairs.append(("super", scan.k1 != scan.kappa if from_scan else is_super_connected(g)))
+                pairs.append(("super", scan.super_connected if scan is not None else is_super_connected(g)))
             elif name == "delta":
                 pairs.append(("delta", min_degree(g)))
             else:

@@ -74,6 +74,7 @@ class CutScan:
     vertex cut; ``k1`` and ``k1_cut`` the isolation-free counterparts,
     with ``k1_cut`` None when ``k1`` is infinite; ``optimal_cut`` is the first
     minimum cut leaving the fewest isolated vertices, ``optimal_isolated`` that count.
+    ``super_connected`` is what ``is_super_connected`` says of the graph.
     """
 
     kappa: int
@@ -82,6 +83,7 @@ class CutScan:
     k1_cut: tuple[int, ...] | None
     optimal_cut: tuple[int, ...]
     optimal_isolated: int
+    super_connected: bool
 
 
 def _isolated_mask(adj_bits, rem: int) -> int:
@@ -216,7 +218,8 @@ def scan_cuts(g: Graph) -> CutScan:
     The first pass tallies the isolated vertices each minimum cut leaves and
     stops at one leaving none: it disconnects, so it is the first k1 cut.
     Otherwise the second pass walks sizes kappa + 1 .. n - 4, as a k1 cut
-    leaves two components of at least two vertices each.
+    leaves two components of at least two vertices each. A connected graph
+    (kappa > 0, or K1) is super connected when every minimum cut isolates.
     """
     kappa_cut, (optimal_cut, _, _), optimal_isolated = _optimal_min_cut(g)
     k1_cut = optimal_cut if optimal_isolated == 0 else None
@@ -232,6 +235,7 @@ def scan_cuts(g: Graph) -> CutScan:
         k1_cut=k1_cut,
         optimal_cut=optimal_cut,
         optimal_isolated=optimal_isolated,
+        super_connected=(len(kappa_cut) > 0 or g.n == 1) and optimal_isolated > 0,
     )
 
 

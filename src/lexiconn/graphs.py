@@ -114,9 +114,11 @@ class Graph:
         self.adj_bits = tuple(bits)
 
     def degree(self, v: int) -> int:
-        return self.adj_bits[v].bit_count()
+        return len(self.neighbors(v))
 
     def neighbors(self, v: int) -> frozenset[int]:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex id {v} out of range for {self.n} vertices")
         return frozenset(_bits_to_tuple(self.adj_bits[v]))
 
     def edges(self) -> list[tuple[int, int]]:
@@ -128,7 +130,7 @@ class Graph:
         return sum(b.bit_count() for b in self.adj_bits) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v >= 0 and bool(self.adj_bits[u] >> v & 1)
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj_bits[u] >> v & 1)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

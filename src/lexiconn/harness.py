@@ -4,7 +4,9 @@ The harness treats every closed-form rule as a hypothesis under test: for
 each (left, right) factor pair in an instance family that satisfies the
 rule's stated hypotheses, it computes the closed-form value through the
 fast path and the true value through the brute-force cut oracles on the
-constructed product, and tallies agreement. Every disagreement is frozen
+constructed product, and tallies agreement. A rule's hypotheses are
+lexprod's own dispatch: a pair is checked against a rule exactly when
+lexprod's branch for it is that rule. Every disagreement is frozen
 into a self-contained DiscrepancyCertificate (the factors travel as
 graph6 strings) that can be revalidated from scratch later; disagreements
 are data, not errors.
@@ -19,10 +21,11 @@ quantified, because the two natural readings genuinely differ.
 Cut scans are memoized for the life of the process, keyed by the
 isomorphism classes of the factors, because the reports of a sweep share
 their products up to relabeling; a hit builds nothing. Only invariant
-fields (kappa, k1 and the fewest isolated vertices a minimum cut leaves)
-are read from the memo, since its cuts belong to whichever labeled member
-of the class was scanned first. A factor that is disconnected or complete
-is recorded without a scan, so the hypotheses need no graph search per pair.
+fields (kappa, k1, the fewest isolated vertices a minimum cut leaves and
+super connectivity) are read from the memo, since its cuts belong to
+whichever labeled member of the class was scanned first. A factor that
+is disconnected or complete is recorded without a scan, so the
+hypotheses need no graph search per pair.
 A discrepancy's witness comes from a rescan of its own labeled product,
 so reports do not depend on the memo.
 
@@ -44,9 +47,9 @@ from random import Random
 from typing import Iterator
 
 from .cuts import CutCertificate, CutScan, cut_certificate, is_super_connected, scan_cuts
-from .graphs import ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected, isolated_vertices
+from .graphs import ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected
 from .io import parse_graph6, serialize_graph6
-from .lexprod import READINGS, _k1_branch, _k1_rule, _kappa_rule, lex_product
+from .lexprod import READINGS, _k1_branch, _k1_rule, _kappa_rule, _super_branch, lex_product
 
 THEOREM_IDS = (
     "thm21",
@@ -189,15 +192,11 @@ class DiscrepancyCertificate:
 
 
 def _value_to_json(value):
-    if isinstance(value, bool):
-        return value
-    return value.to_json()
+    return value if isinstance(value, bool) else value.to_json()
 
 
 def _value_from_json(obj):
-    if isinstance(obj, bool):
-        return obj
-    return ExtendedNat.from_json(obj)
+    return obj if isinstance(obj, bool) else ExtendedNat.from_json(obj)
 
 
 @dataclass(frozen=True)
@@ -298,45 +297,35 @@ def _scan(g1: Graph, g2: Graph | None = None) -> CutScan | None:
     return _SCANS[key]
 
 
-def _satisfies_hypotheses(theorem_id: str, g1: Graph, g2: Graph) -> bool:
+def _formula(theorem_id: str, g1: Graph, g2: Graph, reading: str):
+    """The rule's value on (g1, g2), or None when the pair fails the rule's
+    hypotheses, which are lexprod's own dispatch on the factors."""
     if theorem_id == "thm21_complete":
-        return is_complete(g1)
+        return ExtendedNat(_kappa_rule(g1.n, g1.n - 1, g2)) if is_complete(g1) else None
     # every other rule takes a connected non-complete left factor
     left = _scan(g1)
     if left is None:
-        return False
+        return None
     if theorem_id == "thm21":
-        return True
+        return ExtendedNat(_kappa_rule(g1.n, left.kappa, g2))
     if theorem_id in _K1_IDS:
-        return _k1_branch(left) == theorem_id
-    # super rules assume a right factor with at least two vertices
-    if g2.n < 2:
-        return False
-    right_connected = _scan(g2) is not None or is_complete(g2)
-    if theorem_id == "super_part1":
-        return right_connected
-    if right_connected:
-        return False
-    if theorem_id == "super_part2":
-        return not isolated_vertices(g2)
-    # a connected non-complete g1 is super connected exactly when no k1 cut has size kappa
-    return bool(isolated_vertices(g2)) and left.k1 != left.kappa
+        return _k1_rule(left, g2, reading)[0] if _k1_branch(left) == theorem_id else None
+    right_connected = is_complete(g2) or _scan(g2) is not None
+    if _super_branch(g2, right_connected, left.super_connected) != theorem_id[len("super_"):]:
+        return None
+    return theorem_id == "super_part3"
 
 
-def _evaluate(theorem_id: str, g1: Graph, g2: Graph, reading: str):
-    """(formula value, oracle value, the CutScan field naming the product
-    cut that witnesses the oracle value, or None when there is none)."""
-    pscan = _scan(g1, g2)
+def _oracle(theorem_id: str, pscan: CutScan):
+    """(oracle value, the CutScan field naming the product cut that
+    witnesses it, or None when there is none)."""
     if theorem_id in _KAPPA_IDS:
-        # thm21_complete's hypothesis already made the left factor complete
-        kappa1 = _scan(g1).kappa if theorem_id == "thm21" else g1.n - 1
-        return ExtendedNat(_kappa_rule(g1.n, kappa1, g2)), ExtendedNat(pscan.kappa), "kappa_cut"
+        return ExtendedNat(pscan.kappa), "kappa_cut"
     if theorem_id in _K1_IDS:
-        return _k1_rule(_scan(g1), g2, reading)[0], pscan.k1, "k1_cut" if pscan.k1.is_finite else None
-    # the hypotheses make the product connected and non-complete, where the
-    # first non-isolating minimum cut is the first k1 cut when it has size kappa
-    refuted = pscan.k1 == pscan.kappa
-    return theorem_id == "super_part3", not refuted, "k1_cut" if refuted else "kappa_cut"
+        return pscan.k1, "k1_cut" if pscan.k1.is_finite else None
+    # the hypotheses make the product connected and non-complete, where a
+    # minimum cut isolating nobody is the first k1 cut
+    return pscan.super_connected, "kappa_cut" if pscan.super_connected else "k1_cut"
 
 
 def verify_theorem(
@@ -359,11 +348,12 @@ def verify_theorem(
     checked = skipped = agreements = 0
     discrepancies: list[DiscrepancyCertificate] = []
     for g1, g2 in family.instances():
-        if not _satisfies_hypotheses(theorem_id, g1, g2):
+        formula = _formula(theorem_id, g1, g2, reading)
+        if formula is None:
             skipped += 1
             continue
         checked += 1
-        formula, oracle, field = _evaluate(theorem_id, g1, g2, reading)
+        oracle, field = _oracle(theorem_id, _scan(g1, g2))
         if formula == oracle:
             agreements += 1
             continue
@@ -401,30 +391,28 @@ def validate_certificate(cert: DiscrepancyCertificate) -> bool:
     """Rebuild the instance from the certificate and recheck it.
 
     The factors are reparsed from graph6 (parse failures raise) and the
-    product is rebuilt. The kappa and k1 oracle values come from the class
-    memo (a fresh process rescans); the super value and the witness flags
-    are recomputed on the rebuilt product. A certificate whose formula and
-    oracle values agree violates the type's whole point and is invalid.
+    product is rebuilt; a product past PRODUCT_LIMIT vertices, which no
+    report holds, is invalid without a scan. The kappa and k1 oracle
+    values come from the class memo (a fresh process rescans); the super
+    value and the witness flags are recomputed on the rebuilt product. A
+    certificate whose formula and oracle values agree violates the type's
+    whole point and is invalid.
     """
-    if cert.theorem_id not in THEOREM_IDS:
+    if cert.theorem_id not in THEOREM_IDS or cert.formula_value == cert.oracle_value:
         return False
-    if cert.formula_value == cert.oracle_value:
+    g1, g2 = parse_graph6(cert.g1), parse_graph6(cert.g2)
+    if g1.n * g2.n > PRODUCT_LIMIT:
         return False
-    g1 = parse_graph6(cert.g1)
-    g2 = parse_graph6(cert.g2)
     product = lex_product(g1, g2)
     pscan = _scan(g1, g2)
-    if cert.theorem_id in _KAPPA_IDS:
-        oracle: ExtendedNat | bool = ExtendedNat(pscan.kappa)
-    elif cert.theorem_id in _K1_IDS:
-        oracle = pscan.k1
-    else:
-        # the factors need not satisfy any hypothesis, so no scan identity
+    oracle, field = _oracle(cert.theorem_id, pscan)
+    if cert.theorem_id.startswith("super_"):
+        # the factors need not satisfy any hypothesis: recheck on the product
         oracle = is_super_connected(product)
     if oracle != cert.oracle_value:
         return False
     if cert.witness is None:
         # only an infinite k1 oracle value has nothing to witness
-        return cert.theorem_id in _K1_IDS and not pscan.k1.is_finite
+        return field is None
     fresh = cut_certificate(product, cert.witness.cut, kappa=pscan.kappa)
     return fresh == cert.witness

@@ -19,18 +19,19 @@ reports:
   equal, "thm23" for the strictly-between-finite case, "cor24" when the
   left factor has no isolation-free cut at all. They read only the left
   factor's scan: kappa, k1 and the fewest isolated vertices a cut leaves.
-* super connectivity of the product, split by whether the right factor is
-  connected ("part1"), disconnected without isolated vertices ("part2"),
-  or disconnected with isolated vertices and a super-connected left
-  factor ("part3").
+* super connectivity of the product, exact from the factors alone: over
+  a connected non-complete left factor it holds exactly when the left
+  factor is super connected and the right factor has an isolated vertex
+  ("iso_m1", "part1", "part2", "part3", "left_not_super"); a complete
+  left factor gives "complete_left".
 
 Every k1 fast path attaches a witness cut built by lifting factor cuts
 into the product. The witness is verified against the product before the
 value is reported; when verification fails the answer falls back to the
-brute-force oracle and says so via the "oracle_fallback" branch. A
-verified witness proves only that k1 is at most the value, so an
-overestimate goes uncaught: "cor24" gives 14 for graph6 ``Fi`AO`` by
-K2 + 3K1, where a lifted k1 cut has 13 vertices.
+brute-force oracle and says so via the "oracle_fallback" branch, which
+only k1 answers carry. A verified witness proves only that k1 is at
+most the value, so an overestimate goes uncaught: "cor24" gives 14 for
+graph6 ``Fi`AO`` by K2 + 3K1, where a lifted k1 cut has 13 vertices.
 """
 
 from __future__ import annotations
@@ -227,28 +228,36 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     return LexK1Result(value=scan.k1, branch="oracle_fallback", witness=scan.k1_cut)
 
 
-def lex_super_connected(g1: Graph, g2: Graph) -> tuple[bool, str]:
-    """Is the product super connected, and which rule decided it.
+def _super_branch(g2: Graph, right_connected: bool, left_super: bool) -> str:
+    """The super rule for a connected non-complete left factor; reads
+    ``left_super`` only when ``g2`` has an isolated vertex."""
+    if g2.n == 1:
+        return "iso_m1"
+    if right_connected:
+        return "part1"
+    if not isolated_vertices(g2):
+        return "part2"
+    return "part3" if left_super else "left_not_super"
 
-    A right factor with one vertex leaves the product isomorphic to the
-    left factor, so that case short-circuits before the split on the
-    right factor's shape ("iso_m1"). Complete left factors, and the
-    unruled case of a disconnected right factor with isolated vertices
-    under a non-super-connected left factor, are answered by enumerating
-    the product's minimum cuts ("oracle_fallback").
+
+def lex_super_connected(g1: Graph, g2: Graph) -> tuple[bool, str]:
+    """Is the product super connected, and which exact rule decided it.
+
+    No product is built or scanned, so no answer is an "oracle_fallback".
+    Over a connected non-complete left factor, the product's minimum cuts
+    are the rows of the left factor's; such a row isolates a product
+    vertex exactly when its left cut isolates a vertex whose copy is an
+    isolated vertex of the right factor. A complete left factor on n1
+    vertices joins n1 copies of the right factor, so a minimum cut is
+    n1 - 1 whole copies plus a minimum cut of the last copy.
     """
     if g1.n == 0 or g2.n == 0:
         raise ValueError("product factors must be non-empty")
     if not is_connected(g1):
         return False, "disconnected"
     if is_complete(g1):
-        return is_super_connected(lex_product(g1, g2)), "oracle_fallback"
-    if g2.n == 1:
-        return is_super_connected(g1), "iso_m1"
-    if is_connected(g2):
-        return False, "part1"
-    if not isolated_vertices(g2):
-        return False, "part2"
-    if is_super_connected(g1):
-        return True, "part3"
-    return is_super_connected(lex_product(g1, g2)), "oracle_fallback"
+        verdict = is_super_connected(g2) if is_connected(g2) else g1.n > 1 and bool(isolated_vertices(g2))
+        return verdict, "complete_left"
+    # the left factor's minimum-cut walk runs only when the verdict can be True
+    verdict = bool(isolated_vertices(g2)) and is_super_connected(g1)
+    return verdict, _super_branch(g2, is_connected(g2), verdict)

@@ -13,6 +13,7 @@ from lexiconn import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    enumerate_labeled_graphs,
     enumerate_min_vertex_cuts,
     find_non_isolating_min_cut,
     is_complete,
@@ -201,6 +202,12 @@ class TestSuperConnected:
     def test_refuting_cut_for_cycle6(self):
         cut = find_non_isolating_min_cut(cycle_graph(6))
         assert cut == (0, 3)
+
+    def test_scan_field_matches_predicate_on_every_small_graph(self):
+        # disconnected, complete and one-vertex graphs included
+        for n in range(1, 7):
+            for g in enumerate_labeled_graphs(n):
+                assert scan_cuts(g).super_connected == is_super_connected(g), g.edges()
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_n=6))

@@ -148,6 +148,16 @@ class TestGraph:
         if normalized:
             assert g != Graph(n, normalized[1:])
 
+    def test_accessors_on_ids_out_of_range(self):
+        g = Graph(3, [(2, 0)])
+        for u, v in ((-1, 0), (0, -1), (3, 0), (0, 3), (-1, -1), (3, 3)):
+            assert not g.has_edge(u, v)
+        for v in (-1, -3, 3):
+            with pytest.raises(ValueError):
+                g.degree(v)
+            with pytest.raises(ValueError):
+                g.neighbors(v)
+
 
 def test_vertex_set_normalizes():
     assert vertex_set([3, 1, 1, 2]) == (1, 2, 3)

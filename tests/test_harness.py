@@ -20,6 +20,8 @@ from lexiconn import (
     parse_graph6,
     random_graph,
     scan_cuts,
+    serialize_graph6,
+    star_graph,
     validate_certificate,
     verify_theorem,
 )
@@ -343,6 +345,21 @@ class TestCertificateValidation:
         broken = dataclasses.replace(real_cert, g1="\x01bogus")
         with pytest.raises(GraphParseError):
             validate_certificate(broken)
+
+    def test_products_past_the_limit_are_rejected_without_a_scan(self):
+        # a 26-vertex product, past the oracle budget: its scan alone runs for many seconds
+        cert = DiscrepancyCertificate(
+            theorem_id="thm21",
+            g1=serialize_graph6(star_graph(12)),
+            g2=serialize_graph6(empty_graph(2)),
+            formula_value=ExtendedNat(2),
+            oracle_value=ExtendedNat(3),
+            witness=None,
+            reading="min_cuts_only",
+        )
+        start = time.perf_counter()
+        assert not validate_certificate(cert)
+        assert time.perf_counter() - start < 0.5
 
     def test_witness_flag_tampering_rejected(self):
         # agreements leave no certificates, so fabricate a discrepancy about a real instance

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from random import Random
 
@@ -17,6 +18,7 @@ from lexiconn import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    enumerate_labeled_graphs,
     is_connected,
     is_k1_vertex_cut,
     is_super_connected,
@@ -37,6 +39,8 @@ from lexiconn import (
     vertex_connectivity,
     vertex_connectivity_oracle,
 )
+import lexiconn.lexprod
+from lexiconn.harness import _class_key
 
 
 def graphs(max_n=4, min_n=1):
@@ -327,9 +331,10 @@ class TestLexSuperConnected:
         assert (verdict, branch) == (True, "part3")
         assert is_super_connected(lex_product(cycle_graph(4), k2_plus_k1()))
 
-    def test_unruled_case_falls_back_to_oracle(self):
+    def test_non_super_left_with_isolated_right(self):
         verdict, branch = lex_super_connected(bowtie_graph(), k2_plus_k1())
-        assert (verdict, branch) == (False, "oracle_fallback")
+        assert (verdict, branch) == (False, "left_not_super")
+        assert not is_super_connected(lex_product(bowtie_graph(), k2_plus_k1()))
 
     def test_one_vertex_right_factor(self):
         assert lex_super_connected(cycle_graph(4), complete_graph(1)) == (True, "iso_m1")
@@ -337,7 +342,7 @@ class TestLexSuperConnected:
 
     def test_complete_left_factor(self):
         verdict, branch = lex_super_connected(complete_graph(3), complete_graph(2))
-        assert branch == "oracle_fallback"
+        assert branch == "complete_left"
         assert verdict == is_super_connected(lex_product(complete_graph(3), complete_graph(2)))
 
     def test_disconnected_left_factor(self):
@@ -345,11 +350,50 @@ class TestLexSuperConnected:
         assert lex_super_connected(g1, complete_graph(2)) == (False, "disconnected")
 
     @settings(max_examples=30, deadline=None)
-    @given(graphs(max_n=4, min_n=2), graphs(max_n=3, min_n=2))
+    @given(graphs(max_n=4), graphs(max_n=3))
     def test_ruled_branches_match_oracle(self, g1, g2):
-        verdict, branch = lex_super_connected(g1, g2)
-        if branch in ("part1", "part2", "part3"):
-            assert verdict == is_super_connected(lex_product(g1, g2))
+        verdict, _ = lex_super_connected(g1, g2)
+        assert verdict == is_super_connected(lex_product(g1, g2))
+
+    def test_exact_on_every_class_of_products_up_to_16_vertices(self):
+        # one labeled member per isomorphism class of each factor; products of
+        # 18 and 20 vertices are left out, as their oracle walks take minutes
+        def classes(n, connected):
+            members = {}
+            for g in enumerate_labeled_graphs(n):
+                if is_connected(g) or not connected:
+                    members.setdefault(_class_key(g), g)
+            return list(members.values())
+
+        lefts = {n1: classes(n1, connected=True) for n1 in range(1, 7)}
+        rights = {n2: classes(n2, connected=False) for n2 in range(1, 5)}
+        checked = 0
+        for n1, n2 in itertools.product(lefts, rights):
+            if n1 * n2 > 16:
+                continue
+            for g1, g2 in itertools.product(lefts[n1], rights[n2]):
+                verdict, branch = lex_super_connected(g1, g2)
+                assert verdict == is_super_connected(lex_product(g1, g2)), (g1.edges(), g2.edges(), branch)
+                checked += 1
+        assert checked == 31 * 7 + 10 * 11 + 112 * 3
+
+    def test_builds_and_scans_no_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no product may be built or scanned")
+
+        monkeypatch.setattr(lexiconn.lexprod, "lex_product", refuse)
+        monkeypatch.setattr(lexiconn.lexprod, "scan_cuts", refuse)
+        lefts = (complete_graph(1), complete_graph(3), bowtie_graph(), cycle_graph(4), path_graph(3))
+        rights = (
+            complete_graph(1),
+            complete_graph(2),
+            path_graph(3),
+            empty_graph(2),
+            k2_plus_k1(),
+            disjoint_union(complete_graph(2), complete_graph(2)),
+        )
+        branches = {lex_super_connected(g1, g2)[1] for g1 in lefts for g2 in rights}
+        assert branches == {"complete_left", "iso_m1", "part1", "part2", "part3", "left_not_super"}
 
 
 class TestCounterexampleRegression:
