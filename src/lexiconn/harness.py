@@ -29,12 +29,12 @@ hypotheses need no graph search per pair.
 A discrepancy's witness comes from a rescan of its own labeled product,
 so reports do not depend on the memo.
 
-A class key is the least edge bitmask over the vertex orderings that
-respect the cells of colour refinement. When the cells allow more than
-ORDERING_LIMIT orderings (only graphs on seven or more vertices can, the
-edgeless and complete ones among them), the key is the labeled adjacency
-itself. Isomorphic graphs get the same cells and so take the same branch:
-that loses sharing between relabelings but never merges two classes.
+A graph on n <= ENUMERATION_LIMIT vertices is keyed by n and the least
+edge mask, in enumerate_labeled_graphs' bit order, over its relabelings.
+The first miss for n keys all labeled graphs on n vertices at once, by
+marking each class's orbit from its least mask. A larger graph is keyed
+by its labeled adjacency, uncached: that loses sharing between
+relabelings but never merges two classes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from math import factorial, prod
 from random import Random
 from typing import Iterator
 
@@ -67,7 +66,6 @@ _K1_IDS = ("thm22", "thm23", "cor24")
 
 ENUMERATION_LIMIT = 6  # all labeled graphs on up to this many vertices
 PRODUCT_LIMIT = 24  # largest product the oracles are asked to sweep
-ORDERING_LIMIT = 720  # 6!: most vertex orderings a class key tries
 
 
 def _edge_slots(n: int) -> list[tuple[int, int]]:
@@ -103,11 +101,12 @@ class InstanceFamily:
     """A deterministic stream of (left, right) factor pairs.
 
     Exhaustive mode walks all labeled graphs with 1 <= n1 <= n1_max and
-    1 <= n2 <= n2_max (that requires n1_max <= 6 and n2_max <= 4, the
-    desk-scale budget). Random mode draws ``sample_count`` pairs whose
-    sizes are uniform in the same ranges and whose edges come from
-    ``seed``; the same family always yields the same stream. Either way
-    n1_max * n2_max is capped so the product oracles stay tractable.
+    1 <= n2 <= n2_max (that requires n1_max <= ENUMERATION_LIMIT and
+    n2_max <= 4, the desk-scale budget). Random mode draws
+    ``sample_count`` pairs whose sizes are uniform in the same ranges and
+    whose edges come from ``seed``; the same family always yields the
+    same stream. Either way n1_max * n2_max is capped so the product
+    oracles stay tractable.
     """
 
     n1_max: int
@@ -122,8 +121,8 @@ class InstanceFamily:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n1_max < 1 or self.n2_max < 1:
             raise ValueError("factor size bounds must be at least 1")
-        if self.mode == "exhaustive" and (self.n1_max > 6 or self.n2_max > 4):
-            raise ValueError("exhaustive families are budgeted to n1_max <= 6 and n2_max <= 4")
+        if self.mode == "exhaustive" and (self.n1_max > ENUMERATION_LIMIT or self.n2_max > 4):
+            raise ValueError(f"exhaustive families are budgeted to n1_max <= {ENUMERATION_LIMIT} and n2_max <= 4")
         if self.n1_max * self.n2_max > PRODUCT_LIMIT:
             raise ValueError(f"products above {PRODUCT_LIMIT} vertices are outside the oracle budget")
         if self.mode == "random":
@@ -245,42 +244,29 @@ def clear_caches() -> None:
 
 
 def _class_key(g: Graph) -> tuple:
-    """A key shared exactly by the graphs isomorphic to ``g``, or, past
-    ORDERING_LIMIT orderings, a key of ``g``'s labeling alone; cached per
-    labeled adjacency."""
-    bits = g.adj_bits
-    key = _CLASS_KEYS.get(bits)
+    """(n, the least edge mask of ``g``'s isomorphism class) for n up to
+    ENUMERATION_LIMIT, else ("labeled", ``g``'s adjacency), uncached."""
+    key = _CLASS_KEYS.get(g.adj_bits)
     if key is not None:
         return key
-    # colour refinement, from the degrees (one round from a single colour):
-    # a vertex's next colour ranks its colour with its neighbours' sorted colours
-    colours = [b.bit_count() for b in bits]
-    count = len(set(colours))
-    while count < g.n:
-        signatures = [(c, tuple(sorted(map(colours.__getitem__, _bits_to_tuple(b))))) for c, b in zip(colours, bits)]
-        ranks = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
-        if len(ranks) == count:
-            break
-        colours = [ranks[sig] for sig in signatures]
-        count = len(ranks)
-    cells = [[v for v in range(g.n) if colours[v] == c] for c in sorted(set(colours))]
-    if prod(factorial(len(cell)) for cell in cells) > ORDERING_LIMIT:
-        key = ("labeled", bits)
-    else:
-        best = -1
-        for parts in itertools.product(*map(itertools.permutations, cells)):
-            order = tuple(itertools.chain.from_iterable(parts))
-            # row by row, the adjacency of each position to every earlier one
-            code = 0
-            for i in range(1, g.n):
-                nb = bits[order[i]]
-                for w in order[:i]:
-                    code = code << 1 | nb >> w & 1
-            if best < 0 or code < best:
-                best = code
-        key = (g.n, best)
-    _CLASS_KEYS[bits] = key
-    return key
+    if g.n > ENUMERATION_LIMIT:
+        return ("labeled", g.adj_bits)
+    # key every labeled graph on n vertices: in ascending mask order, the
+    # first unkeyed mask is its class's least and keys its whole orbit
+    slots = _edge_slots(g.n)
+    bit_of = {pair: 1 << k for k, pair in enumerate(slots)}
+    # relabeling p moves the edge in slot (i, j) to the slot of {p[i], p[j]}
+    relabelings = [
+        [bit_of[min(p[i], p[j]), max(p[i], p[j])] for i, j in slots] for p in itertools.permutations(range(g.n))
+    ]
+    keys: list[tuple | None] = [None] * (1 << len(slots))
+    for mask, labeled in enumerate(enumerate_labeled_graphs(g.n)):
+        if keys[mask] is None:
+            key, edges = (g.n, mask), _bits_to_tuple(mask)
+            for image_of in relabelings:
+                keys[sum(map(image_of.__getitem__, edges))] = key
+        _CLASS_KEYS[labeled.adj_bits] = keys[mask]
+    return _CLASS_KEYS[g.adj_bits]
 
 
 def _scan(g1: Graph, g2: Graph | None = None) -> CutScan | None:

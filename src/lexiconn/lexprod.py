@@ -19,19 +19,21 @@ reports:
   equal, "thm23" for the strictly-between-finite case, "cor24" when the
   left factor has no isolation-free cut at all. They read only the left
   factor's scan: kappa, k1 and the fewest isolated vertices a cut leaves.
+  A complete left factor on n vertices gives "complete_left", exactly.
 * super connectivity of the product, exact from the factors alone: over
   a connected non-complete left factor it holds exactly when the left
   factor is super connected and the right factor has an isolated vertex
   ("iso_m1", "part1", "part2", "part3", "left_not_super"); a complete
   left factor gives "complete_left".
 
-Every k1 fast path attaches a witness cut built by lifting factor cuts
-into the product. The witness is verified against the product before the
-value is reported; when verification fails the answer falls back to the
-brute-force oracle and says so via the "oracle_fallback" branch, which
-only k1 answers carry. A verified witness proves only that k1 is at
-most the value, so an overestimate goes uncaught: "cor24" gives 14 for
-graph6 ``Fi`AO`` by K2 + 3K1, where a lifted k1 cut has 13 vertices.
+Every finite k1 answer attaches a witness cut built by lifting factor
+cuts into the product. Under a non-complete left factor the witness is
+verified on the product before the value is reported; when verification
+fails the answer falls back to the brute-force oracle and says so via
+the "oracle_fallback" branch, which only k1 answers carry. A verified
+witness proves only that k1 is at most the value, so an overestimate
+goes uncaught: "cor24" gives 14 for graph6 ``Fi`AO`` by K2 + 3K1, where
+a lifted k1 cut has 13 vertices.
 """
 
 from __future__ import annotations
@@ -63,10 +65,9 @@ READINGS = ("min_cuts_only", "all_cuts")
 class LexK1Result:
     """k1 connectivity of a product, with provenance.
 
-    ``branch`` tells which closed-form rule produced ``value``, or
-    "oracle_fallback" when brute force did. ``witness``, when present, is
-    a verified isolation-free cut of the product of exactly ``value``
-    vertices.
+    ``branch`` tells which rule produced ``value``, or "oracle_fallback"
+    when brute force did. ``witness``, when present, is an isolation-free
+    cut of the product of exactly ``value`` vertices.
     """
 
     value: ExtendedNat
@@ -108,6 +109,8 @@ def lift_min_cut(cut, m: int) -> tuple[int, ...]:
     if m < 1:
         raise ValueError("right factor must have at least one vertex")
     cut = vertex_set(cut)
+    if cut and cut[0] < 0:
+        raise ValueError(f"vertex id {cut[0]} is negative")
     return tuple(i * m + j for i in cut for j in range(m))
 
 
@@ -202,28 +205,35 @@ def k1_product_formula(g1: Graph, g2: Graph, reading: str = "min_cuts_only") -> 
 def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     """k1 connectivity of the product, closed form first, oracle as backstop.
 
+    A complete left factor joins any two rows completely, so a k1 cut
+    takes n1 - 1 whole rows and a k1 cut of the last copy of g2: the
+    answer is exact, builds no product, and is witnessed by those cuts.
     For connected non-complete left factors the matching closed-form rule
     is evaluated and a witness cut is lifted from the factor: the shorter
     of the rows of a minimum isolation-free cut, when there is one, and
     the stranded-copies augmentation of an optimal minimum cut, the rows
     on a tie. The witness must check out as an isolation-free cut of the
-    product of exactly the claimed size; otherwise, and for complete left
-    factors, the product is scanned by brute force.
+    product of exactly the claimed size; otherwise the product is scanned
+    by brute force.
     """
     if g1.n == 0 or g2.n == 0:
         raise ValueError("product factors must be non-empty")
     if not is_connected(g1):
         raise ValueError("the left factor must be connected")
     m = g2.n
+    if is_complete(g1):
+        right, rows = scan_cuts(g2), (g1.n - 1) * m
+        witness = None if right.k1_cut is None else tuple(range(rows)) + tuple(rows + j for j in right.k1_cut)
+        value = right.k1 if witness is None else ExtendedNat(len(witness))
+        return LexK1Result(value=value, branch="complete_left", witness=witness)
+    left = scan_cuts(g1)
+    value, branch = _k1_rule(left, g2, "min_cuts_only")
+    # min keeps the first of equal lengths, so a tie goes to the rows
+    lifts = [lift_min_cut(left.k1_cut, m)] if left.k1_cut is not None else []
+    witness = min(lifts + [lift_k1_cut(g1, g2, left.optimal_cut)], key=len)
     product = lex_product(g1, g2)
-    if not is_complete(g1):
-        left = scan_cuts(g1)
-        value, branch = _k1_rule(left, g2, "min_cuts_only")
-        # min keeps the first of equal lengths, so a tie goes to the rows
-        lifts = [lift_min_cut(left.k1_cut, m)] if left.k1_cut is not None else []
-        witness = min(lifts + [lift_k1_cut(g1, g2, left.optimal_cut)], key=len)
-        if len(witness) == value and is_k1_vertex_cut(product, witness):
-            return LexK1Result(value=value, branch=branch, witness=witness)
+    if len(witness) == value and is_k1_vertex_cut(product, witness):
+        return LexK1Result(value=value, branch=branch, witness=witness)
     scan = scan_cuts(product)
     return LexK1Result(value=scan.k1, branch="oracle_fallback", witness=scan.k1_cut)
 

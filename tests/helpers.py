@@ -5,7 +5,7 @@ own reachability code, so test expectations do not lean on the library
 machinery they are checking.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from lexiconn import Graph
 
@@ -102,3 +102,15 @@ def brute_product_adjacent(g1: Graph, g2: Graph, a: tuple[int, int], b: tuple[in
 def graph_from_mask(n: int, mask: int) -> Graph:
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return Graph(n, [slots[k] for k in range(len(slots)) if mask >> k & 1])
+
+
+def brute_class_key(g: Graph) -> tuple[int, int]:
+    """(n, the least edge mask over all n! relabelings of g), with bit k
+    of a mask the k-th pair (i, j), i < j, in lexicographic order."""
+    adj = adjacency(g)
+    slots = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    masks = (
+        sum(1 << k for k, (i, j) in enumerate(slots) if p[j] in adj[p[i]])
+        for p in permutations(range(g.n))
+    )
+    return g.n, min(masks)

@@ -178,6 +178,12 @@ def test_vertex_set_checks_every_id():
         is_vertex_cut(path_graph(3), [0, 1.5])
 
 
+def test_lift_min_cut_rejects_negative_ids():
+    for ids in ([-1], [0, -3], [2, 1, -1]):
+        with pytest.raises(ValueError, match="negative"):
+            lift_min_cut(ids, 3)
+
+
 def test_isolated_vertices_examples():
     assert isolated_vertices(disjoint_union(complete_graph(2), empty_graph(1))) == (2,)
     assert isolated_vertices(cycle_graph(4)) == ()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graph_from_mask
+from helpers import brute_class_key, graph_from_mask
 from lexiconn import (
     READINGS,
     DiscrepancyCertificate,
@@ -110,9 +110,19 @@ def relabeled_graphs(max_n=7):
 
 
 class TestClassKey:
-    @pytest.mark.parametrize("n,classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
+    @pytest.mark.parametrize("n,classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
     def test_one_key_per_isomorphism_class(self, n, classes):
         assert len({_class_key(g) for g in enumerate_labeled_graphs(n)}) == classes
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_key_is_the_least_mask_over_all_relabelings(self, n):
+        clear_caches()
+        for g in enumerate_labeled_graphs(n):
+            assert _class_key(g) == brute_class_key(g)
+
+    def test_seven_vertex_graphs_key_their_labeling(self):
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
+        assert _class_key(g) == ("labeled", g.adj_bits)
 
     @settings(max_examples=150, deadline=None)
     @given(relabeled_graphs())

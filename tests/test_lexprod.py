@@ -49,6 +49,16 @@ def graphs(max_n=4, min_n=1):
     )
 
 
+def class_members(n, connected=False):
+    """One labeled member of each isomorphism class on n vertices,
+    optionally only the connected classes."""
+    members = {}
+    for g in enumerate_labeled_graphs(n):
+        if is_connected(g) or not connected:
+            members.setdefault(_class_key(g), g)
+    return list(members.values())
+
+
 def k2_plus_k1():
     return disjoint_union(complete_graph(2), empty_graph(1))
 
@@ -270,11 +280,44 @@ class TestLexK1Connectivity:
         product = lex_product(star_graph(3), empty_graph(2))
         assert scan_cuts(product).k1 == INFINITY
 
-    def test_complete_left_factor_falls_back(self):
+    def test_complete_left_factor_is_exact(self):
         result = lex_k1_connectivity(complete_graph(3), path_graph(3))
-        assert result.branch == "oracle_fallback"
+        assert result.branch == "complete_left"
         product = lex_product(complete_graph(3), path_graph(3))
         assert result.value == scan_cuts(product).k1
+
+    def test_complete_left_factor_matches_the_oracle_on_every_right_class(self):
+        # K1..K5 by one labeled member of each right class, products of at
+        # most 16 vertices
+        checked = 0
+        for n1, m in itertools.product(range(1, 6), range(1, 5)):
+            if n1 * m > 16:
+                continue
+            for g2 in class_members(m):
+                result = lex_k1_connectivity(complete_graph(n1), g2)
+                product = lex_product(complete_graph(n1), g2)
+                assert result.branch == "complete_left"
+                assert result.value == scan_cuts(product).k1, (n1, g2.edges())
+                if result.value.is_finite:
+                    assert len(result.witness) == result.value
+                    assert is_k1_vertex_cut(product, result.witness)
+                else:
+                    assert result.witness is None
+                checked += 1
+        assert checked == 4 * 18 + 7
+
+    def test_complete_left_factor_builds_no_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no product may be built")
+
+        monkeypatch.setattr(lexiconn.lexprod, "lex_product", refuse)
+        # K5 by K4 is K20, a product whose scan takes seconds
+        assert lex_k1_connectivity(complete_graph(5), complete_graph(4)).value == INFINITY
+        two_edges = disjoint_union(complete_graph(2), complete_graph(2))
+        result = lex_k1_connectivity(complete_graph(5), two_edges)
+        assert (result.value, result.witness) == (ExtendedNat(16), tuple(range(16)))
+        result = lex_k1_connectivity(complete_graph(2), path_graph(6))
+        assert (result.value, result.witness) == (ExtendedNat(7), (0, 1, 2, 3, 4, 5, 8))
 
     def test_disconnected_left_factor_rejected(self):
         with pytest.raises(ValueError):
@@ -358,15 +401,8 @@ class TestLexSuperConnected:
     def test_exact_on_every_class_of_products_up_to_16_vertices(self):
         # one labeled member per isomorphism class of each factor; products of
         # 18 and 20 vertices are left out, as their oracle walks take minutes
-        def classes(n, connected):
-            members = {}
-            for g in enumerate_labeled_graphs(n):
-                if is_connected(g) or not connected:
-                    members.setdefault(_class_key(g), g)
-            return list(members.values())
-
-        lefts = {n1: classes(n1, connected=True) for n1 in range(1, 7)}
-        rights = {n2: classes(n2, connected=False) for n2 in range(1, 5)}
+        lefts = {n1: class_members(n1, connected=True) for n1 in range(1, 7)}
+        rights = {n2: class_members(n2) for n2 in range(1, 5)}
         checked = 0
         for n1, n2 in itertools.product(lefts, rights):
             if n1 * n2 > 16:
