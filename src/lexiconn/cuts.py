@@ -212,6 +212,15 @@ def _optimal_min_cut(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], 
     return first[0], optimal, fewest
 
 
+def _first_k1_cut(g: Graph, sizes) -> tuple[int, ...] | None:
+    """The first cut of the given sizes, by size then lex order, that
+    disconnects ``g`` and isolates nobody; None when there is none."""
+    for cut, rem, disconnects in _cuts_of_sizes(g, sizes):
+        if disconnects and not _isolated_mask(g.adj_bits, rem):
+            return cut
+    return None
+
+
 def scan_cuts(g: Graph) -> CutScan:
     """Run the combined connectivity / k1-connectivity sweep once.
 
@@ -224,10 +233,7 @@ def scan_cuts(g: Graph) -> CutScan:
     kappa_cut, (optimal_cut, _, _), optimal_isolated = _optimal_min_cut(g)
     k1_cut = optimal_cut if optimal_isolated == 0 else None
     if k1_cut is None:
-        for cut, rem, disconnects in _cuts_of_sizes(g, range(len(kappa_cut) + 1, g.n - 3)):
-            if disconnects and not _isolated_mask(g.adj_bits, rem):
-                k1_cut = cut
-                break
+        k1_cut = _first_k1_cut(g, range(len(kappa_cut) + 1, g.n - 3))
     return CutScan(
         kappa=len(kappa_cut),
         kappa_cut=kappa_cut,

@@ -26,8 +26,9 @@ super connectivity) are read from the memo, since its cuts belong to
 whichever labeled member of the class was scanned first. A factor that
 is disconnected or complete is recorded without a scan, so the
 hypotheses need no graph search per pair.
-A discrepancy's witness comes from a rescan of its own labeled product,
-so reports do not depend on the memo.
+A discrepancy's witness is the first cut of its own labeled product, in
+lex order, at the size the memo proved, as a full scan would find it, so
+reports do not depend on the memo; a size with no cut there raises.
 
 A graph on n <= ENUMERATION_LIMIT vertices is keyed by n and the least
 edge mask, in enumerate_labeled_graphs' bit order, over its relabelings.
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
-from .cuts import CutCertificate, CutScan, cut_certificate, is_super_connected, scan_cuts
+from .cuts import CutCertificate, CutScan, _cuts_of_sizes, _first_k1_cut, cut_certificate, is_super_connected, scan_cuts
 from .graphs import ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected
 from .io import parse_graph6, serialize_graph6
 from .lexprod import READINGS, _k1_branch, _k1_rule, _kappa_rule, _super_branch, lex_product
@@ -339,16 +340,22 @@ def verify_theorem(
             skipped += 1
             continue
         checked += 1
-        oracle, field = _oracle(theorem_id, _scan(g1, g2))
+        pscan = _scan(g1, g2)
+        oracle, field = _oracle(theorem_id, pscan)
         if formula == oracle:
             agreements += 1
             continue
         witness = None
         if field is not None:
-            # the memo's cuts may be another labeling's: rescan this product
+            # the memo's cuts may be another labeling's; its kappa and k1 are the class's
             labeled = lex_product(g1, g2)
-            scan = scan_cuts(labeled)
-            witness = cut_certificate(labeled, getattr(scan, field), kappa=scan.kappa)
+            if field == "kappa_cut":
+                cut = next((cut for cut, _, _ in _cuts_of_sizes(labeled, (pscan.kappa,))), None)
+            else:
+                cut = _first_k1_cut(labeled, (pscan.k1.value,))
+            if cut is None:
+                raise RuntimeError(f"the class memo has no {field} of its size on {serialize_graph6(labeled)}")
+            witness = cut_certificate(labeled, cut, kappa=pscan.kappa)
         discrepancies.append(
             DiscrepancyCertificate(
                 theorem_id=theorem_id,

@@ -4,9 +4,9 @@ The product of a left factor on n1 vertices and a right factor on m
 vertices lives on n1 * m vertices indexed row-major: the copy of right
 vertex j inside left vertex i is the flat id i * m + j. Two product
 vertices are adjacent when their left coordinates are adjacent, or the
-left coordinates agree and the right coordinates are adjacent. The
-product is connected exactly when the left factor is, and it is never
-commutative in general.
+left coordinates agree and the right coordinates are adjacent. With two
+or more left vertices the product is connected exactly when the left
+factor is (K1 by G2 is G2); it is not commutative in general.
 
 Closed-form rules implemented here, each labeled by the branch string it
 reports:

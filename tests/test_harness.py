@@ -147,11 +147,50 @@ class TestClassKey:
         # name the wrong vertices for two of them
         report = verify_theorem("cor24", InstanceFamily(4, 3), "all_cuts")
         witnessed = [cert for cert in report.discrepancies if cert.witness is not None]
+        assert len(witnessed) == 48
         assert {cert.g2 for cert in witnessed} == {"B_", "BO", "BG"}
         for cert in witnessed:
             product = lex_product(parse_graph6(cert.g1), parse_graph6(cert.g2))
             scan = scan_cuts(product)
             assert cert.witness == cut_certificate(product, scan.k1_cut, kappa=scan.kappa)
+
+    @pytest.mark.parametrize("theorem_id", ["thm21", "super_part1", "super_part3"])
+    def test_perturbed_rules_witness_every_pair_as_a_full_scan_would(self, theorem_id, monkeypatch):
+        # no rule fails on these, so flip each value to reach the kappa_cut
+        # and super witnesses: super_part1 products have k1 == kappa, and
+        # super_part3 products are super connected
+        formula = lexiconn.harness._formula
+
+        def perturbed(*args):
+            value = formula(*args)
+            if value is None:
+                return None
+            return not value if isinstance(value, bool) else ExtendedNat(value.value + 1)
+
+        monkeypatch.setattr(lexiconn.harness, "_formula", perturbed)
+        report = verify_theorem(theorem_id, InstanceFamily(4, 2))
+        assert report.instances_checked == len(report.discrepancies) > 0
+        for cert in report.discrepancies:
+            product = lex_product(parse_graph6(cert.g1), parse_graph6(cert.g2))
+            scan = scan_cuts(product)
+            field = "kappa_cut" if cert.oracle_value is not False else "k1_cut"
+            assert cert.witness == cut_certificate(product, getattr(scan, field), kappa=scan.kappa)
+            assert validate_certificate(cert)
+
+    @pytest.mark.parametrize(
+        "theorem_id,wrong_size,field", [("thm21", {"kappa": 0}, "kappa_cut"), ("cor24", {"k1": ExtendedNat(0)}, "k1_cut")]
+    )
+    def test_a_memo_size_with_no_cut_on_the_product_raises(self, theorem_id, wrong_size, field, monkeypatch):
+        # every product here is connected, so none has a cut of size 0
+        scan = lexiconn.harness._scan
+
+        def wrong(g1, g2=None):
+            value = scan(g1, g2)
+            return value if g2 is None else dataclasses.replace(value, **wrong_size)
+
+        monkeypatch.setattr(lexiconn.harness, "_scan", wrong)
+        with pytest.raises(RuntimeError, match=field):
+            verify_theorem(theorem_id, InstanceFamily(4, 2), "all_cuts")
 
 
 class TestVerifyTheorem:
@@ -245,6 +284,7 @@ class TestVerifyTheorem:
         runs = [("thm21", "min_cuts_only"), ("super_part1", "min_cuts_only")]
         runs += [(theorem_id, reading) for theorem_id in ("thm22", "cor24") for reading in READINGS]
         first = [verify_theorem(theorem_id, family, reading) for theorem_id, reading in runs]
+        witnessed = verify_theorem("cor24", InstanceFamily(4, 3), "all_cuts")
         calls = {}
 
         def counting(key, inner):
@@ -267,6 +307,14 @@ class TestVerifyTheorem:
         assert first[0].discrepancies == first[1].discrepancies == ()
         assert calls == {
             "lexiconn.harness.lex_product": 0,
+            "lexiconn.harness.scan_cuts": 0,
+            "lexiconn.lexprod.scan_cuts": 0,
+        }
+        # a witness walks its own labeled product, but scans nothing
+        again = verify_theorem("cor24", InstanceFamily(4, 3), "all_cuts")
+        assert again.canonical_json() == witnessed.canonical_json()
+        assert calls == {
+            "lexiconn.harness.lex_product": 48,
             "lexiconn.harness.scan_cuts": 0,
             "lexiconn.lexprod.scan_cuts": 0,
         }

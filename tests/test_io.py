@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import graph_from_mask
@@ -22,6 +22,24 @@ def graphs(max_n=8):
     return st.integers(1, max_n).flatmap(
         lambda n: st.builds(graph_from_mask, st.just(n), st.integers(0, 2 ** (n * (n - 1) // 2) - 1))
     )
+
+
+# arbitrary text, text in graph6's printable range, and edge-list tokens
+arbitrary_text = st.one_of(
+    st.text(),
+    st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126)),
+    st.text(alphabet="0123456789 -#\n"),
+)
+
+
+@settings(max_examples=300)
+@given(arbitrary_text)
+def test_parsers_raise_only_parse_errors(text):
+    for parse in (parse_graph6, parse_edge_list):
+        try:
+            parse(text)
+        except GraphParseError:
+            pass
 
 
 class TestEdgeList:
