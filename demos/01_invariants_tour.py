@@ -13,9 +13,8 @@ from lexiconn import (
     is_super_connected,
     k1_connectivity,
     min_degree,
-    minimum_k1_cut,
     path_graph,
-    select_optimal_min_cut,
+    scan_cuts,
     star_graph,
     vertex_connectivity,
     vertex_connectivity_oracle,
@@ -39,8 +38,8 @@ print()
 # k1 connectivity forbids the cut from stranding isolated vertices.
 # A star has no such cut at all: removing the center isolates every leaf,
 # and nothing else disconnects it. That is the infinite case.
-print("k1(P6) =", k1_connectivity(path_graph(6)), "via cut", minimum_k1_cut(path_graph(6)))
-print("k1(C6) =", k1_connectivity(cycle_graph(6)), "via cut", minimum_k1_cut(cycle_graph(6)))
+print("k1(P6) =", k1_connectivity(path_graph(6)), "via cut", scan_cuts(path_graph(6)).k1_cut)
+print("k1(C6) =", k1_connectivity(cycle_graph(6)), "via cut", scan_cuts(cycle_graph(6)).k1_cut)
 print("k1(K1,3) =", k1_connectivity(star_graph(3)))
 print("k1(C5) =", k1_connectivity(cycle_graph(5)), "(a 5-cycle is too small to split into 2+2)")
 
@@ -56,11 +55,12 @@ for name, g in [("C4", cycle_graph(4)), ("C6", cycle_graph(6)), ("bowtie", bowti
 
 print()
 
-# Among all minimum cuts, select one stranding the fewest vertices.
-# This count drives the product k1 formulas in demo 02.
+# One scan_cuts call records every cut fact above, plus the first minimum
+# cut stranding the fewest vertices and that count. The count drives the
+# product k1 formulas in demo 02.
 for name, g in [("bowtie", bowtie_graph()), ("K1,3", star_graph(3)), ("C5", cycle_graph(5))]:
-    cert, count = select_optimal_min_cut(g)
-    print(f"{name}: best minimum cut {cert.cut} strands {count} vertices")
+    scan = scan_cuts(g)
+    print(f"{name}: best minimum cut {scan.optimal_cut} strands {scan.optimal_isolated} vertices")
 
 print()
 print("certificate JSON for the bowtie hub cut:")

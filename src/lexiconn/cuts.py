@@ -20,11 +20,13 @@ Every oracle and predicate here runs on one private kernel,
 "enumerate by size then lex, first hit wins": subsets are visited by
 size, then in lexicographic order, so the first hit is a minimum and
 every result is reproducible. Every minimum-cut query reads
-``_min_cuts``, which ends with the first size that has a cut. ``scan_cuts``
-walks the minimum cuts, then, only if none is a k1 cut, the larger sizes;
-``select_optimal_min_cut``, ``find_non_isolating_min_cut`` and
+``_min_cuts``, which ends with the first size that has a cut.
+``scan_cuts`` is the per-graph record: one call gives kappa and the first
+minimum cut, k1 and the first k1 cut, and the first minimum cut leaving
+the fewest isolated vertices with that count. It and
 ``is_super_connected`` read ``_optimal_min_cut``, one walk of the minimum
-cuts that stops at the first one isolating nobody.
+cuts that stops at the first one isolating nobody; only when none does
+are the larger sizes walked for a k1 cut.
 """
 
 from __future__ import annotations
@@ -195,21 +197,20 @@ def _min_cuts(g: Graph) -> Iterator[tuple[tuple[int, ...], int, bool]]:
     raise ValueError("the empty graph has no cuts")
 
 
-def _optimal_min_cut(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], int, bool], int]:
-    """(first minimum cut, the kernel's yield for the first minimum cut
-    leaving the fewest isolated vertices, that count); the walk stops at a
-    cut leaving none."""
+def _optimal_min_cut(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(first minimum cut, first minimum cut leaving the fewest isolated
+    vertices, that count); the walk stops at a cut leaving none."""
     hits = _min_cuts(g)
-    first = optimal = next(hits)
-    fewest = _isolated_mask(g.adj_bits, first[1]).bit_count()
+    first, rem, _ = next(hits)
+    optimal, fewest = first, _isolated_mask(g.adj_bits, rem).bit_count()
     if fewest:
-        for hit in hits:
-            count = _isolated_mask(g.adj_bits, hit[1]).bit_count()
+        for cut, rem, _ in hits:
+            count = _isolated_mask(g.adj_bits, rem).bit_count()
             if count < fewest:
-                optimal, fewest = hit, count
+                optimal, fewest = cut, count
                 if count == 0:
                     break
-    return first[0], optimal, fewest
+    return first, optimal, fewest
 
 
 def _first_k1_cut(g: Graph, sizes) -> tuple[int, ...] | None:
@@ -230,7 +231,7 @@ def scan_cuts(g: Graph) -> CutScan:
     leaves two components of at least two vertices each. A connected graph
     (kappa > 0, or K1) is super connected when every minimum cut isolates.
     """
-    kappa_cut, (optimal_cut, _, _), optimal_isolated = _optimal_min_cut(g)
+    kappa_cut, optimal_cut, optimal_isolated = _optimal_min_cut(g)
     k1_cut = optimal_cut if optimal_isolated == 0 else None
     if k1_cut is None:
         k1_cut = _first_k1_cut(g, range(len(kappa_cut) + 1, g.n - 3))
@@ -255,37 +256,17 @@ def k1_connectivity(g: Graph) -> ExtendedNat:
     return scan_cuts(g).k1
 
 
-def minimum_k1_cut(g: Graph) -> tuple[int, ...] | None:
-    """The first minimum isolation-free cut, None when k1 is infinite."""
-    return scan_cuts(g).k1_cut
-
-
-def _require_connected_non_complete(g: Graph, what: str) -> None:
-    if not is_connected(g):
-        raise ValueError(f"{what} requires a connected graph")
-    if is_complete(g):
-        raise ValueError(f"{what} requires a non-complete graph")
-
-
 def enumerate_min_vertex_cuts(g: Graph) -> list[CutCertificate]:
     """All minimum vertex cuts of a connected non-complete graph, in
     lexicographic order, each with fully populated flags."""
-    _require_connected_non_complete(g, "minimum-cut enumeration")
+    if not is_connected(g):
+        raise ValueError("minimum-cut enumeration requires a connected graph")
+    if is_complete(g):
+        raise ValueError("minimum-cut enumeration requires a non-complete graph")
     return [
         _certificate(g, cut, rem, disconnects, is_minimum=True)
         for cut, rem, disconnects in _min_cuts(g)
     ]
-
-
-def find_non_isolating_min_cut(g: Graph) -> tuple[int, ...] | None:
-    """First minimum cut that disconnects without isolating anyone, or None.
-
-    None means every minimum cut isolates a vertex, i.e. the graph is
-    super connected.
-    """
-    _require_connected_non_complete(g, "super-connectivity testing")
-    _, (cut, _, _), isolated = _optimal_min_cut(g)
-    return None if isolated else cut
 
 
 def is_super_connected(g: Graph) -> bool:
@@ -302,12 +283,3 @@ def is_super_connected(g: Graph) -> bool:
         return True
     # some minimum cut isolates nobody exactly when the fewest isolated is 0
     return _optimal_min_cut(g)[2] > 0
-
-
-def select_optimal_min_cut(g: Graph) -> tuple[CutCertificate, int]:
-    """Among the minimum vertex cuts, one leaving the fewest isolated
-    vertices (ties go to the lexicographically smallest cut); also returns
-    that minimum count. Only minimum cuts are walked."""
-    _require_connected_non_complete(g, "optimal-cut selection")
-    _, (cut, rem, disconnects), count = _optimal_min_cut(g)
-    return _certificate(g, cut, rem, disconnects, is_minimum=True), count

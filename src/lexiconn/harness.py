@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
-from .cuts import CutCertificate, CutScan, _cuts_of_sizes, _first_k1_cut, cut_certificate, is_super_connected, scan_cuts
+from .cuts import CutCertificate, CutScan, _cuts_of_sizes, _first_k1_cut, cut_certificate, scan_cuts
 from .graphs import ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected
 from .io import parse_graph6, serialize_graph6
 from .lexprod import READINGS, _k1_branch, _k1_rule, _kappa_rule, _super_branch, lex_product
@@ -383,29 +383,30 @@ def verify_theorem(
 def validate_certificate(cert: DiscrepancyCertificate) -> bool:
     """Rebuild the instance from the certificate and recheck it.
 
-    The factors are reparsed from graph6 (parse failures raise) and the
-    product is rebuilt; a product past PRODUCT_LIMIT vertices, which no
-    report holds, is invalid without a scan. The kappa and k1 oracle
-    values come from the class memo (a fresh process rescans); the super
-    value and the witness flags are recomputed on the rebuilt product. A
-    certificate whose formula and oracle values agree violates the type's
-    whole point and is invalid.
+    The factors are reparsed from graph6 (parse failures raise); an empty
+    factor, or a product past PRODUCT_LIMIT vertices, which no report
+    holds, is invalid without a scan. The rule is re-evaluated under the
+    certificate's reading: the factors must meet its hypotheses and give
+    the formula value. The oracle value comes from the class memo (a fresh
+    process rescans) and the witness flags are recomputed on the rebuilt
+    product. A certificate whose formula and oracle values agree violates
+    the type's whole point and is invalid.
     """
-    if cert.theorem_id not in THEOREM_IDS or cert.formula_value == cert.oracle_value:
+    if cert.theorem_id not in THEOREM_IDS or cert.reading not in READINGS:
+        return False
+    if cert.formula_value == cert.oracle_value:
         return False
     g1, g2 = parse_graph6(cert.g1), parse_graph6(cert.g2)
-    if g1.n * g2.n > PRODUCT_LIMIT:
+    if not 0 < g1.n * g2.n <= PRODUCT_LIMIT:
         return False
-    product = lex_product(g1, g2)
+    if _formula(cert.theorem_id, g1, g2, cert.reading) != cert.formula_value:
+        return False
     pscan = _scan(g1, g2)
     oracle, field = _oracle(cert.theorem_id, pscan)
-    if cert.theorem_id.startswith("super_"):
-        # the factors need not satisfy any hypothesis: recheck on the product
-        oracle = is_super_connected(product)
     if oracle != cert.oracle_value:
         return False
     if cert.witness is None:
         # only an infinite k1 oracle value has nothing to witness
         return field is None
-    fresh = cut_certificate(product, cert.witness.cut, kappa=pscan.kappa)
+    fresh = cut_certificate(lex_product(g1, g2), cert.witness.cut, kappa=pscan.kappa)
     return fresh == cert.witness

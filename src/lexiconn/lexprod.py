@@ -167,7 +167,10 @@ def _k1_branch(left: CutScan) -> str:
 
 def _k1_rule(left: CutScan, g2: Graph, reading: str) -> tuple[ExtendedNat, str]:
     """(value, branch) of the k1 rule for a product whose connected
-    non-complete left factor has scan ``left``."""
+    non-complete left factor has scan ``left``, with no witness. The
+    isolation count is the fewest isolated vertices over the left
+    factor's minimum cuts under "min_cuts_only", over its cuts of every
+    size under "all_cuts"."""
     branch = _k1_branch(left)
     m = g2.n
     if branch == "thm22":
@@ -181,25 +184,6 @@ def _k1_rule(left: CutScan, g2: Graph, reading: str) -> tuple[ExtendedNat, str]:
     if branch == "thm23":
         value = min(left.k1.value * m, value)
     return ExtendedNat(value), branch
-
-
-def k1_product_formula(g1: Graph, g2: Graph, reading: str = "min_cuts_only") -> tuple[ExtendedNat, str]:
-    """Raw closed-form k1 value for the product, with its branch label.
-
-    No witness is built or checked here. ``reading`` selects the
-    quantifier for the isolation count: "min_cuts_only" minimizes the
-    leftover isolated vertices over minimum cuts of the left factor,
-    "all_cuts" minimizes over vertex cuts of every size.
-    """
-    if reading not in READINGS:
-        raise ValueError(f"unknown reading {reading!r}; expected one of {READINGS}")
-    if g1.n == 0 or g2.n == 0:
-        raise ValueError("product factors must be non-empty")
-    if not is_connected(g1):
-        raise ValueError("the closed-form k1 rules need a connected left factor")
-    if is_complete(g1):
-        raise ValueError("the closed-form k1 rules need a non-complete left factor")
-    return _k1_rule(scan_cuts(g1), g2, reading)
 
 
 def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:

@@ -76,6 +76,20 @@ def brute_is_super(g: Graph) -> bool:
     return True
 
 
+def brute_optimal_min_cut(g: Graph) -> tuple[tuple[int, ...], int]:
+    """Over the minimum vertex cuts, the first in lex order leaving the
+    fewest isolated vertices, and that count."""
+    adj = adjacency(g)
+    best = None
+    for combo in combinations(range(g.n), brute_kappa(g)):
+        if not brute_is_cut(g, combo):
+            continue
+        count = sum(1 for c in components_without(adj, set(combo)) if len(c) == 1)
+        if best is None or count < best[1]:
+            best = (combo, count)
+    return best
+
+
 def brute_least_isolating(g: Graph) -> tuple[tuple[int, ...], int]:
     """Over vertex cuts of every size, the first by size then lex order
     leaving the fewest isolated vertices, and that count."""

@@ -2,7 +2,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_is_cut, brute_is_super, brute_k1, brute_kappa, brute_least_isolating, graph_from_mask
+from helpers import (
+    brute_is_cut,
+    brute_is_super,
+    brute_k1,
+    brute_kappa,
+    brute_least_isolating,
+    brute_optimal_min_cut,
+    graph_from_mask,
+)
 from lexiconn import (
     INFINITY,
     CutCertificate,
@@ -15,17 +23,14 @@ from lexiconn import (
     empty_graph,
     enumerate_labeled_graphs,
     enumerate_min_vertex_cuts,
-    find_non_isolating_min_cut,
     is_complete,
     is_connected,
     is_k1_vertex_cut,
     is_super_connected,
     is_vertex_cut,
     k1_connectivity,
-    minimum_k1_cut,
     path_graph,
     scan_cuts,
-    select_optimal_min_cut,
     star_graph,
     vertex_connectivity,
     vertex_connectivity_oracle,
@@ -103,7 +108,7 @@ class TestK1Connectivity:
 
     def test_path6(self):
         assert k1_connectivity(path_graph(6)) == ExtendedNat(1)
-        assert minimum_k1_cut(path_graph(6)) == (2,)
+        assert scan_cuts(path_graph(6)).k1_cut == (2,)
 
     def test_cycle6(self):
         assert k1_connectivity(cycle_graph(6)) == ExtendedNat(2)
@@ -114,7 +119,7 @@ class TestK1Connectivity:
     def test_disconnected_without_isolated_is_zero(self):
         g = disjoint_union(complete_graph(2), complete_graph(2))
         assert k1_connectivity(g) == ExtendedNat(0)
-        assert minimum_k1_cut(g) == ()
+        assert scan_cuts(g).k1_cut == ()
 
     def test_disconnected_with_isolated(self):
         g = disjoint_union(complete_graph(2), empty_graph(1))
@@ -200,8 +205,8 @@ class TestSuperConnected:
         assert not is_super_connected(disjoint_union(complete_graph(2), empty_graph(1)))
 
     def test_refuting_cut_for_cycle6(self):
-        cut = find_non_isolating_min_cut(cycle_graph(6))
-        assert cut == (0, 3)
+        scan = scan_cuts(cycle_graph(6))
+        assert scan.optimal_cut == (0, 3) and scan.optimal_isolated == 0
 
     def test_scan_field_matches_predicate_on_every_small_graph(self):
         # disconnected, complete and one-vertex graphs included
@@ -249,26 +254,25 @@ class TestSuperConnected:
     def test_refuting_cut_is_first_k1_cut_of_size_kappa(self, g):
         # a non-isolating minimum cut is exactly a k1 cut of size kappa
         scan = scan_cuts(g)
-        expected = scan.k1_cut if scan.k1 == scan.kappa else None
-        assert find_non_isolating_min_cut(g) == expected
+        assert (scan.optimal_isolated == 0) == (scan.k1 == scan.kappa)
+        if scan.optimal_isolated == 0:
+            assert scan.optimal_cut == scan.k1_cut
 
 
 class TestSelectOptimalMinCut:
+    """The scan's ``optimal_cut`` and ``optimal_isolated`` fields."""
+
     def test_bowtie(self):
-        cert, count = select_optimal_min_cut(bowtie_graph())
-        assert cert.cut == (1,) and count == 0
+        scan = scan_cuts(bowtie_graph())
+        assert scan.optimal_cut == (1,) and scan.optimal_isolated == 0
 
     def test_star(self):
-        cert, count = select_optimal_min_cut(star_graph(3))
-        assert cert.cut == (0,) and count == 3
+        scan = scan_cuts(star_graph(3))
+        assert scan.optimal_cut == (0,) and scan.optimal_isolated == 3
 
     def test_cycle5_tie_break(self):
-        cert, count = select_optimal_min_cut(cycle_graph(5))
-        assert cert.cut == (0, 2) and count == 1
-
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            select_optimal_min_cut(complete_graph(2))
+        scan = scan_cuts(cycle_graph(5))
+        assert scan.optimal_cut == (0, 2) and scan.optimal_isolated == 1
 
     def test_walk_stops_with_the_minimum_cuts(self, monkeypatch):
         import lexiconn.cuts
@@ -284,9 +288,10 @@ class TestSelectOptimalMinCut:
 
             return kernel(g, record())
 
+        scan = scan_cuts(star_graph(11))
+        assert scan.optimal_cut == (0,) and scan.optimal_isolated == 11
         monkeypatch.setattr(lexiconn.cuts, "_vertex_cuts", recording)
-        cert, count = select_optimal_min_cut(star_graph(11))
-        assert cert.cut == (0,) and count == 11
+        assert is_super_connected(star_graph(11))
         # the empty set, then the twelve single vertices
         assert len(drawn) <= 13 and max(drawn) == 1
 
@@ -297,11 +302,24 @@ class TestSelectOptimalMinCut:
 
         if is_complete(g):
             return
-        cert, count = select_optimal_min_cut(g)
+        scan = scan_cuts(g)
         # min keeps the first certificate among equals: the lexicographic tie-break
         first_best = min(enumerate_min_vertex_cuts(g), key=lambda c: len(c.isolated_after))
-        assert count == len(first_best.isolated_after)
-        assert scan_cuts(g).optimal_cut == first_best.cut == cert.cut
+        assert scan.optimal_isolated == len(first_best.isolated_after)
+        assert scan.optimal_cut == first_best.cut
+
+    def test_matches_independent_brute_force_on_every_small_graph(self):
+        # disconnected, complete and one-vertex graphs included
+        for n in range(1, 6):
+            for g in enumerate_labeled_graphs(n):
+                scan = scan_cuts(g)
+                assert (scan.optimal_cut, scan.optimal_isolated) == brute_optimal_min_cut(g), g.edges()
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=7, min_n=6).filter(lambda g: not is_complete(g)))
+    def test_matches_independent_brute_force(self, g):
+        scan = scan_cuts(g)
+        assert (scan.optimal_cut, scan.optimal_isolated) == brute_optimal_min_cut(g)
 
 
 class TestLeastIsolatingCut:
@@ -315,7 +333,7 @@ class TestLeastIsolatingCut:
         # the count the "all_cuts" reading uses, read from the scan
         _, over_all = brute_least_isolating(g)
         assert over_all == (0 if scan_cuts(g).k1.is_finite else 1)
-        assert over_all <= select_optimal_min_cut(g)[1]
+        assert over_all <= scan_cuts(g).optimal_isolated
 
 
 class TestCertificates:

@@ -175,7 +175,10 @@ class TestClassKey:
             scan = scan_cuts(product)
             field = "kappa_cut" if cert.oracle_value is not False else "k1_cut"
             assert cert.witness == cut_certificate(product, getattr(scan, field), kappa=scan.kappa)
-            assert validate_certificate(cert)
+            # super certificates carry bool values through JSON
+            rebuilt = DiscrepancyCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+            assert rebuilt == cert
+            assert validate_certificate(rebuilt)
 
     @pytest.mark.parametrize(
         "theorem_id,wrong_size,field", [("thm21", {"kappa": 0}, "kappa_cut"), ("cor24", {"k1": ExtendedNat(0)}, "k1_cut")]
@@ -376,6 +379,17 @@ class TestCertificateValidation:
         assert rebuilt == real_cert
         assert validate_certificate(rebuilt)
 
+    def test_every_certificate_of_a_report_round_trips(self):
+        certs = verify_theorem("cor24", InstanceFamily(4, 3), "all_cuts").discrepancies
+        assert len(certs) == 168
+        # infinite oracle values come without a witness
+        assert any(not cert.oracle_value.is_finite and cert.witness is None for cert in certs)
+        assert any(cert.witness is not None for cert in certs)
+        for cert in certs:
+            rebuilt = DiscrepancyCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+            assert rebuilt == cert
+            assert validate_certificate(rebuilt)
+
     def test_cross_family_tampering_rejected(self):
         # a witnessless k1 certificate repackaged as a connectivity claim
         base = verify_theorem("cor24", InstanceFamily(4, 1)).discrepancies[0]
@@ -420,30 +434,14 @@ class TestCertificateValidation:
         assert time.perf_counter() - start < 0.5
 
     def test_witness_flag_tampering_rejected(self):
-        # agreements leave no certificates, so fabricate a discrepancy about a real instance
-        from lexiconn import cut_certificate, lex_product, serialize_graph6
-        from lexiconn.cuts import scan_cuts
-
-        g1 = complete_graph(2)
-        g2 = complete_graph(2)
-        product = lex_product(g1, g2)
-        scan = scan_cuts(product)
-        good_witness = cut_certificate(product, scan.kappa_cut, kappa=scan.kappa)
-        cert = DiscrepancyCertificate(
-            theorem_id="thm21_complete",
-            g1=serialize_graph6(g1),
-            g2=serialize_graph6(g2),
-            formula_value=ExtendedNat(99),
-            oracle_value=ExtendedNat(scan.kappa),
-            witness=good_witness,
-            reading="min_cuts_only",
-        )
+        report = verify_theorem("cor24", InstanceFamily(3, 3), "all_cuts")
+        cert = next(cert for cert in report.discrepancies if cert.witness is not None)
         assert validate_certificate(cert)
-        flipped = dataclasses.replace(cert, witness=dataclasses.replace(good_witness, isolated_after=(0,)))
+        flipped = dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, isolated_after=(0,)))
         assert not validate_certificate(flipped)
 
-    def test_super_branch_recomputes_on_factors_outside_the_hypotheses(self):
-        # 2K1 is disconnected, hence not super connected, though k1 != kappa there
+    def test_factors_outside_the_rule_hypotheses_are_rejected(self):
+        # 2K1 is disconnected, so no super rule applies, whatever the product says
         from lexiconn import cut_certificate, empty_graph, lex_product, serialize_graph6
 
         g1 = empty_graph(2)
@@ -457,6 +455,28 @@ class TestCertificateValidation:
             witness=cut_certificate(lex_product(g1, g2), (), kappa=0),
             reading="min_cuts_only",
         )
-        assert validate_certificate(cert)
-        swapped = dataclasses.replace(cert, formula_value=False, oracle_value=True)
-        assert not validate_certificate(swapped)
+        assert not validate_certificate(cert)
+
+
+class TestCertificateFormulaSide:
+    """A certificate's rule, reading and formula value are rechecked, not
+    taken on trust."""
+
+    @pytest.fixture()
+    def cert(self):
+        cert = verify_theorem("cor24", InstanceFamily(3, 2), "all_cuts").discrepancies[0]
+        assert cert.formula_value == ExtendedNat(2) and validate_certificate(cert)
+        return cert
+
+    def test_rule_whose_hypotheses_the_pair_fails_rejected(self, cert):
+        assert not validate_certificate(dataclasses.replace(cert, theorem_id="thm22"))
+
+    def test_wrong_formula_value_rejected(self, cert):
+        assert not validate_certificate(dataclasses.replace(cert, formula_value=ExtendedNat(3)))
+
+    def test_unknown_reading_rejected(self, cert):
+        assert not validate_certificate(dataclasses.replace(cert, reading="sideways"))
+
+    def test_empty_factor_rejected(self, cert):
+        assert not validate_certificate(dataclasses.replace(cert, g1="?"))
+

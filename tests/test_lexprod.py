@@ -24,7 +24,6 @@ from lexiconn import (
     is_super_connected,
     is_vertex_cut,
     k1_connectivity,
-    k1_product_formula,
     lex_connectivity,
     lex_k1_connectivity,
     lex_product,
@@ -176,12 +175,11 @@ class TestLiftK1Cut:
     @settings(max_examples=30, deadline=None)
     @given(graphs(max_n=4, min_n=3), graphs(max_n=3))
     def test_never_strands_an_isolated_copy(self, g1, g2):
-        from lexiconn import is_complete, select_optimal_min_cut
+        from lexiconn import is_complete
 
         if not is_connected(g1) or is_complete(g1):
             return
-        cert, _ = select_optimal_min_cut(g1)
-        lifted = lift_k1_cut(g1, g2, cert.cut)
+        lifted = lift_k1_cut(g1, g2, scan_cuts(g1).optimal_cut)
         product = lex_product(g1, g2)
         remaining = set(range(product.n)) - set(lifted)
         for v in remaining:
@@ -215,21 +213,14 @@ class TestLexConnectivity:
 class TestK1ProductFormula:
     def test_readings_differ_on_star(self):
         g2 = k2_plus_k1()
-        proof_reading, branch1 = k1_product_formula(star_graph(3), g2, "min_cuts_only")
-        loose_reading, branch2 = k1_product_formula(star_graph(3), g2, "all_cuts")
+        left = scan_cuts(star_graph(3))
+        proof_reading, branch1 = lexiconn.lexprod._k1_rule(left, g2, "min_cuts_only")
+        loose_reading, branch2 = lexiconn.lexprod._k1_rule(left, g2, "all_cuts")
         assert branch1 == branch2 == "cor24"
         assert proof_reading == ExtendedNat(6)
         assert loose_reading == ExtendedNat(4)
         # the oracle sides with the minimum-cut reading
         assert scan_cuts(lex_product(star_graph(3), g2)).k1 == ExtendedNat(6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            k1_product_formula(star_graph(3), complete_graph(2), "sideways")
-        with pytest.raises(ValueError):
-            k1_product_formula(complete_graph(3), complete_graph(2))
-        with pytest.raises(ValueError):
-            k1_product_formula(empty_graph(2), complete_graph(2))
 
 
 class TestLexK1Connectivity:
