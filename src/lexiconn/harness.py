@@ -8,8 +8,9 @@ constructed product, and tallies agreement. A rule's hypotheses are
 lexprod's own dispatch: a pair is checked against a rule exactly when
 lexprod's branch for it is that rule. Every disagreement is frozen
 into a self-contained DiscrepancyCertificate (the factors travel as
-graph6 strings) that can be revalidated from scratch later; disagreements
-are data, not errors.
+graph6 strings); disagreements are data, not errors. One function
+decides each pair, so validating a certificate re-derives it from its
+factors and compares, rather than rechecking it field by field.
 
 Rule identifiers: "thm21" (product connectivity, non-complete left
 factor), "thm21_complete" (complete left factor), "thm22" / "thm23" /
@@ -25,10 +26,8 @@ fields (kappa, k1, the fewest isolated vertices a minimum cut leaves and
 super connectivity) are read from the memo, since its cuts belong to
 whichever labeled member of the class was scanned first. A factor that
 is disconnected or complete is recorded without a scan, so the
-hypotheses need no graph search per pair.
-A discrepancy's witness is the first cut of its own labeled product, in
-lex order, at the size the memo proved, as a full scan would find it, so
-reports do not depend on the memo; a size with no cut there raises.
+hypotheses need no graph search per pair. A discrepancy's witness is
+taken from its own labeled product, so reports do not depend on the memo.
 
 A graph on n <= ENUMERATION_LIMIT vertices is keyed by n and the least
 edge mask, in enumerate_labeled_graphs' bit order, over its relabelings.
@@ -303,16 +302,50 @@ def _formula(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     return theorem_id == "super_part3"
 
 
-def _oracle(theorem_id: str, pscan: CutScan):
-    """(oracle value, the CutScan field naming the product cut that
-    witnesses it, or None when there is none)."""
+def _check(theorem_id: str, g1: Graph, g2: Graph, reading: str):
+    """None when (g1, g2) fails the rule's hypotheses, True when the rule
+    and the oracle agree, else the pair's DiscrepancyCertificate.
+
+    The oracle value comes from the class memo, whose cuts may be another
+    labeling's, so the witness is the first cut of the pair's own labeled
+    product, in lex order, at the size the memo proved: the cut a full
+    scan would find. A size with no cut there raises RuntimeError.
+    """
+    formula = _formula(theorem_id, g1, g2, reading)
+    if formula is None:
+        return None
+    pscan = _scan(g1, g2)
     if theorem_id in _KAPPA_IDS:
-        return ExtendedNat(pscan.kappa), "kappa_cut"
-    if theorem_id in _K1_IDS:
-        return pscan.k1, "k1_cut" if pscan.k1.is_finite else None
-    # the hypotheses make the product connected and non-complete, where a
-    # minimum cut isolating nobody is the first k1 cut
-    return pscan.super_connected, "kappa_cut" if pscan.super_connected else "k1_cut"
+        oracle, k1_witness = ExtendedNat(pscan.kappa), False
+    elif theorem_id in _K1_IDS:
+        oracle, k1_witness = pscan.k1, True
+    else:
+        # the hypotheses make the product connected and non-complete, where
+        # a minimum cut isolating nobody is the first k1 cut
+        oracle = pscan.super_connected
+        k1_witness = not oracle
+    if formula == oracle:
+        return True
+    witness = None
+    if not k1_witness or pscan.k1.is_finite:
+        labeled = lex_product(g1, g2)
+        if k1_witness:
+            cut = _first_k1_cut(labeled, (pscan.k1.value,))
+        else:
+            cut = next((cut for cut, _, _ in _cuts_of_sizes(labeled, (pscan.kappa,))), None)
+        if cut is None:
+            field = "k1" if k1_witness else "kappa"
+            raise RuntimeError(f"the class memo has no {field}_cut of its size on {serialize_graph6(labeled)}")
+        witness = cut_certificate(labeled, cut, kappa=pscan.kappa)
+    return DiscrepancyCertificate(
+        theorem_id=theorem_id,
+        g1=serialize_graph6(g1),
+        g2=serialize_graph6(g2),
+        formula_value=formula,
+        oracle_value=oracle,
+        witness=witness,
+        reading=reading,
+    )
 
 
 def verify_theorem(
@@ -332,46 +365,21 @@ def verify_theorem(
     if reading not in READINGS:
         raise ValueError(f"unknown reading {reading!r}; expected one of {READINGS}")
     start = time.perf_counter()
-    checked = skipped = agreements = 0
+    skipped = agreements = 0
     discrepancies: list[DiscrepancyCertificate] = []
     for g1, g2 in family.instances():
-        formula = _formula(theorem_id, g1, g2, reading)
-        if formula is None:
+        outcome = _check(theorem_id, g1, g2, reading)
+        if outcome is None:
             skipped += 1
-            continue
-        checked += 1
-        pscan = _scan(g1, g2)
-        oracle, field = _oracle(theorem_id, pscan)
-        if formula == oracle:
+        elif outcome is True:
             agreements += 1
-            continue
-        witness = None
-        if field is not None:
-            # the memo's cuts may be another labeling's; its kappa and k1 are the class's
-            labeled = lex_product(g1, g2)
-            if field == "kappa_cut":
-                cut = next((cut for cut, _, _ in _cuts_of_sizes(labeled, (pscan.kappa,))), None)
-            else:
-                cut = _first_k1_cut(labeled, (pscan.k1.value,))
-            if cut is None:
-                raise RuntimeError(f"the class memo has no {field} of its size on {serialize_graph6(labeled)}")
-            witness = cut_certificate(labeled, cut, kappa=pscan.kappa)
-        discrepancies.append(
-            DiscrepancyCertificate(
-                theorem_id=theorem_id,
-                g1=serialize_graph6(g1),
-                g2=serialize_graph6(g2),
-                formula_value=formula,
-                oracle_value=oracle,
-                witness=witness,
-                reading=reading,
-            )
-        )
+        else:
+            discrepancies.append(outcome)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         theorem_id=theorem_id,
         reading=reading,
-        instances_checked=checked,
+        instances_checked=agreements + len(discrepancies),
         skipped=skipped,
         agreements=agreements,
         discrepancies=tuple(discrepancies),
@@ -381,32 +389,20 @@ def verify_theorem(
 
 
 def validate_certificate(cert: DiscrepancyCertificate) -> bool:
-    """Rebuild the instance from the certificate and recheck it.
+    """Re-derive the certificate from its factors and compare.
 
-    The factors are reparsed from graph6 (parse failures raise); an empty
-    factor, or a product past PRODUCT_LIMIT vertices, which no report
-    holds, is invalid without a scan. The rule is re-evaluated under the
-    certificate's reading: the factors must meet its hypotheses and give
-    the formula value. The oracle value comes from the class memo (a fresh
-    process rescans) and the witness flags are recomputed on the rebuilt
-    product. A certificate whose formula and oracle values agree violates
-    the type's whole point and is invalid.
+    The factors are reparsed from graph6 (parse failures raise). An
+    unknown rule or reading, an empty factor, or a product past
+    PRODUCT_LIMIT vertices, which no report holds, is invalid without a
+    scan. Otherwise the pair is checked as verify_theorem checks it, and
+    the certificate is valid exactly when it equals the one written now:
+    the factors in serialize_graph6's spelling, the formula and oracle
+    values, and the witness, flags included. Only the oracle value comes
+    from the class memo (a fresh process rescans the product).
     """
     if cert.theorem_id not in THEOREM_IDS or cert.reading not in READINGS:
-        return False
-    if cert.formula_value == cert.oracle_value:
         return False
     g1, g2 = parse_graph6(cert.g1), parse_graph6(cert.g2)
     if not 0 < g1.n * g2.n <= PRODUCT_LIMIT:
         return False
-    if _formula(cert.theorem_id, g1, g2, cert.reading) != cert.formula_value:
-        return False
-    pscan = _scan(g1, g2)
-    oracle, field = _oracle(cert.theorem_id, pscan)
-    if oracle != cert.oracle_value:
-        return False
-    if cert.witness is None:
-        # only an infinite k1 oracle value has nothing to witness
-        return field is None
-    fresh = cut_certificate(lex_product(g1, g2), cert.witness.cut, kappa=pscan.kappa)
-    return fresh == cert.witness
+    return _check(cert.theorem_id, g1, g2, cert.reading) == cert

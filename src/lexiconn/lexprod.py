@@ -30,7 +30,10 @@ Every finite k1 answer attaches a witness cut built by lifting factor
 cuts into the product. Under a non-complete left factor the witness is
 verified on the product before the value is reported; when verification
 fails the answer falls back to the brute-force oracle and says so via
-the "oracle_fallback" branch, which only k1 answers carry. A verified
+the "oracle_fallback" branch, which only k1 answers carry. Over every
+connected left factor on at most 5 vertices by every right factor on at
+most 3, the fallback fires only for edgeless right factors, where k1 of
+the product is m times k1 of the left factor. A verified
 witness proves only that k1 is at most the value, so an overestimate
 goes uncaught: "cor24" gives 14 for graph6 ``Fi`AO`` by K2 + 3K1, where
 a lifted k1 cut has 13 vertices.

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import time
 
@@ -16,6 +17,7 @@ from lexiconn import (
     cut_certificate,
     empty_graph,
     enumerate_labeled_graphs,
+    is_k1_vertex_cut,
     lex_product,
     parse_graph6,
     random_graph,
@@ -439,6 +441,42 @@ class TestCertificateValidation:
         assert validate_certificate(cert)
         flipped = dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, isolated_after=(0,)))
         assert not validate_certificate(flipped)
+
+    @pytest.mark.parametrize("cut", [(99,), (-1,)])
+    def test_a_witness_naming_no_product_vertex_is_rejected_without_raising(self, cut):
+        report = verify_theorem("cor24", InstanceFamily(3, 3), "all_cuts")
+        cert = next(cert for cert in report.discrepancies if cert.witness is not None)
+        broken = dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, cut=cut))
+        assert validate_certificate(broken) is False
+
+    def test_another_spelling_of_a_factor_is_rejected(self, real_cert):
+        # the prefix parses to the same graph, but the certificate is not the one the harness writes
+        prefixed = ">>graph6<<" + real_cert.g1
+        assert parse_graph6(prefixed) == parse_graph6(real_cert.g1)
+        assert not validate_certificate(dataclasses.replace(real_cert, g1=prefixed))
+
+    def test_another_cut_of_the_witness_size_is_rejected(self):
+        # a genuine k1 cut of the right size, flags and all, but not the first in lex order
+        report = verify_theorem("cor24", InstanceFamily(4, 3), "all_cuts")
+        for cert in report.discrepancies:
+            if cert.witness is None:
+                continue
+            product = lex_product(parse_graph6(cert.g1), parse_graph6(cert.g2))
+            size = len(cert.witness.cut)
+            other = next(
+                (
+                    cut
+                    for cut in itertools.combinations(range(product.n), size)
+                    if cut != cert.witness.cut and is_k1_vertex_cut(product, cut)
+                ),
+                None,
+            )
+            if other is not None:
+                break
+        assert other is not None and validate_certificate(cert)
+        moved = dataclasses.replace(cert, witness=cut_certificate(product, other))
+        assert moved.witness.disconnects and moved.witness.isolated_after == ()
+        assert not validate_certificate(moved)
 
     def test_factors_outside_the_rule_hypotheses_are_rejected(self):
         # 2K1 is disconnected, so no super rule applies, whatever the product says

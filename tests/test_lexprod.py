@@ -271,6 +271,23 @@ class TestLexK1Connectivity:
         product = lex_product(star_graph(3), empty_graph(2))
         assert scan_cuts(product).k1 == INFINITY
 
+    def test_fallbacks_have_edgeless_right_factors_that_scale_the_left_k1(self):
+        # an exact rule for edgeless right factors rests on this:
+        # k1(G1 by E_m) = m * k1(G1), and no other right factor falls back
+        pairs = fallbacks = 0
+        for g1 in (g for n1 in range(1, 6) for g in class_members(n1, connected=True)):
+            k1 = k1_connectivity(g1)
+            for m in range(1, 4):
+                for g2 in enumerate_labeled_graphs(m):
+                    result = lex_k1_connectivity(g1, g2)
+                    if result.branch == "oracle_fallback":
+                        assert g2.num_edges == 0, (g1.edges(), g2.edges())
+                        fallbacks += 1
+                    pairs += 1
+                expected = ExtendedNat(m * k1.value) if k1.is_finite else INFINITY
+                assert lex_k1_connectivity(g1, empty_graph(m)).value == expected, (g1.edges(), m)
+        assert (pairs, fallbacks) == (341, 69)
+
     def test_complete_left_factor_is_exact(self):
         result = lex_k1_connectivity(complete_graph(3), path_graph(3))
         assert result.branch == "complete_left"
