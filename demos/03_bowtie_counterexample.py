@@ -47,7 +47,7 @@ print()
 # isolates nothing: both sides of the cut keep their edges.
 product = lex_product(bowtie, right)
 lifted = lift_min_cut((1,), right.n)
-cert = cut_certificate(product, lifted, kappa=vertex_connectivity(product))
+cert = cut_certificate(product, lifted)
 print("bowtie o (K2+K1): lifted hub cut", lifted)
 print("   size", len(lifted), "== kappa(product) ==", vertex_connectivity(product))
 print("   is a minimum cut:", cert.is_minimum)

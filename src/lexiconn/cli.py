@@ -15,7 +15,7 @@ import sys
 from .cuts import is_super_connected, scan_cuts, vertex_connectivity_oracle
 from .graphs import Graph, isolated_vertices, min_degree, vertex_connectivity
 from .harness import THEOREM_IDS, InstanceFamily, VerificationReport, verify_theorem
-from .io import GraphParseError, load_graph, serialize_graph6
+from .io import MAX_VERTICES, GraphParseError, load_graph, serialize_graph6
 from .lexprod import READINGS, lex_connectivity, lex_product
 
 EX_OK = 0
@@ -150,6 +150,8 @@ def _cmd_compute(args) -> int:
 def _cmd_product(args) -> int:
     g1 = _load(args.g1, args.format_in)
     g2 = _load(args.g2, args.format_in)
+    if g1.n * g2.n > MAX_VERTICES:
+        raise _InputError(f"the product has {g1.n * g2.n} vertices; graph6 supports at most {MAX_VERTICES}")
     try:
         product = lex_product(g1, g2)
     except ValueError as exc:

@@ -165,15 +165,10 @@ def is_k1_vertex_cut(g: Graph, cut) -> bool:
     return False
 
 
-def cut_certificate(g: Graph, cut, kappa: int | None = None) -> CutCertificate:
-    """Populate every observation flag for ``cut`` on ``g``.
-
-    ``kappa`` short-circuits the is_minimum check when the caller already
-    ran the connectivity oracle; otherwise the oracle runs here.
-    """
+def cut_certificate(g: Graph, cut) -> CutCertificate:
+    """Populate every observation flag for ``cut`` on ``g``; is_minimum runs the oracle."""
     cut = vertex_set(cut, n=g.n)
-    if kappa is None:
-        kappa = vertex_connectivity_oracle(g)
+    kappa = vertex_connectivity_oracle(g)
     for _, rem, disconnects in _vertex_cuts(g, (cut,)):
         return _certificate(g, cut, rem, disconnects, is_minimum=len(cut) == kappa)
     # not a cut: nothing remains, or a connected graph on two or more
@@ -213,12 +208,12 @@ def _optimal_min_cut(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return first, optimal, fewest
 
 
-def _first_k1_cut(g: Graph, sizes) -> tuple[int, ...] | None:
-    """The first cut of the given sizes, by size then lex order, that
-    disconnects ``g`` and isolates nobody; None when there is none."""
+def _first_k1_cut(g: Graph, sizes) -> tuple[tuple[int, ...], int, bool] | None:
+    """The kernel's hit for the first cut of ``sizes``, by size then lex
+    order, that disconnects ``g`` and isolates nobody; None when none does."""
     for cut, rem, disconnects in _cuts_of_sizes(g, sizes):
         if disconnects and not _isolated_mask(g.adj_bits, rem):
-            return cut
+            return cut, rem, disconnects
     return None
 
 
@@ -234,7 +229,8 @@ def scan_cuts(g: Graph) -> CutScan:
     kappa_cut, optimal_cut, optimal_isolated = _optimal_min_cut(g)
     k1_cut = optimal_cut if optimal_isolated == 0 else None
     if k1_cut is None:
-        k1_cut = _first_k1_cut(g, range(len(kappa_cut) + 1, g.n - 3))
+        hit = _first_k1_cut(g, range(len(kappa_cut) + 1, g.n - 3))
+        k1_cut = hit[0] if hit is not None else None
     return CutScan(
         kappa=len(kappa_cut),
         kappa_cut=kappa_cut,

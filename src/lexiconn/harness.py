@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
-from .cuts import CutCertificate, CutScan, _cuts_of_sizes, _first_k1_cut, cut_certificate, scan_cuts
+from .cuts import CutCertificate, CutScan, _certificate, _cuts_of_sizes, _first_k1_cut, scan_cuts
 from .graphs import ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected
 from .io import parse_graph6, serialize_graph6
 from .lexprod import READINGS, _k1_branch, _k1_rule, _kappa_rule, _super_branch, lex_product
@@ -295,7 +295,7 @@ def _formula(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     if theorem_id == "thm21":
         return ExtendedNat(_kappa_rule(g1.n, left.kappa, g2))
     if theorem_id in _K1_IDS:
-        return _k1_rule(left, g2, reading)[0] if _k1_branch(left) == theorem_id else None
+        return _k1_rule(left, g2, reading) if _k1_branch(left) == theorem_id else None
     right_connected = is_complete(g2) or _scan(g2) is not None
     if _super_branch(g2, right_connected, left.super_connected) != theorem_id[len("super_"):]:
         return None
@@ -308,8 +308,8 @@ def _check(theorem_id: str, g1: Graph, g2: Graph, reading: str):
 
     The oracle value comes from the class memo, whose cuts may be another
     labeling's, so the witness is the first cut of the pair's own labeled
-    product, in lex order, at the size the memo proved: the cut a full
-    scan would find. A size with no cut there raises RuntimeError.
+    product, in lex order, at the size the memo proved (the cut a full
+    scan would find), certified from that hit; none raises RuntimeError.
     """
     formula = _formula(theorem_id, g1, g2, reading)
     if formula is None:
@@ -330,13 +330,14 @@ def _check(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     if not k1_witness or pscan.k1.is_finite:
         labeled = lex_product(g1, g2)
         if k1_witness:
-            cut = _first_k1_cut(labeled, (pscan.k1.value,))
+            hit = _first_k1_cut(labeled, (pscan.k1.value,))
         else:
-            cut = next((cut for cut, _, _ in _cuts_of_sizes(labeled, (pscan.kappa,))), None)
-        if cut is None:
+            hit = next(_cuts_of_sizes(labeled, (pscan.kappa,)), None)
+        if hit is None:
             field = "k1" if k1_witness else "kappa"
             raise RuntimeError(f"the class memo has no {field}_cut of its size on {serialize_graph6(labeled)}")
-        witness = cut_certificate(labeled, cut, kappa=pscan.kappa)
+        cut, rem, disconnects = hit
+        witness = _certificate(labeled, cut, rem, disconnects, is_minimum=len(cut) == pscan.kappa)
     return DiscrepancyCertificate(
         theorem_id=theorem_id,
         g1=serialize_graph6(g1),

@@ -27,16 +27,20 @@ reports:
   left factor gives "complete_left".
 
 Every finite k1 answer attaches a witness cut built by lifting factor
-cuts into the product. Under a non-complete left factor the witness is
-verified on the product before the value is reported; when verification
-fails the answer falls back to the brute-force oracle and says so via
-the "oracle_fallback" branch, which only k1 answers carry. Over every
-connected left factor on at most 5 vertices by every right factor on at
-most 3, the fallback fires only for edgeless right factors, where k1 of
-the product is m times k1 of the left factor. A verified
-witness proves only that k1 is at most the value, so an overestimate
-goes uncaught: "cor24" gives 14 for graph6 ``Fi`AO`` by K2 + 3K1, where
-a lifted k1 cut has 13 vertices.
+cuts into the product. Under a non-complete left factor the value is the
+witness's size, which is what the matching rule gives, once the witness
+checks out on the product; otherwise the answer comes from the
+brute-force oracle, labeled "oracle_fallback" (a k1-only label). The
+check cannot fail when the right factor has an edge. Lift a disconnecting
+cut C of the left factor: each row outside C that C does not strand has
+a neighbour row outside C, so no copy in it is isolated; each stranded
+row keeps the right factor minus its isolated vertices, non-empty and
+isolation-free; and G1 - C is disconnected, so two pieces remain. Only an
+edgeless right factor E_m falls back; the tests pin k1(G1 by E_m) =
+m k1(G1) over connected left factors on at most 5 vertices. A verified
+witness proves only that k1 is at most the value, so an overestimate goes
+uncaught: "cor24" gives 14 for graph6 ``Fi`AO`` by K2 + 3K1, where a
+lifted k1 cut has 13 vertices.
 """
 
 from __future__ import annotations
@@ -168,16 +172,15 @@ def _k1_branch(left: CutScan) -> str:
     return "thm23" if left.k1.is_finite else "cor24"
 
 
-def _k1_rule(left: CutScan, g2: Graph, reading: str) -> tuple[ExtendedNat, str]:
-    """(value, branch) of the k1 rule for a product whose connected
-    non-complete left factor has scan ``left``, with no witness. The
-    isolation count is the fewest isolated vertices over the left
-    factor's minimum cuts under "min_cuts_only", over its cuts of every
-    size under "all_cuts"."""
+def _k1_rule(left: CutScan, g2: Graph, reading: str) -> ExtendedNat:
+    """The k1 rule's value for a product whose connected non-complete left
+    factor has scan ``left``. The isolation count is the fewest isolated
+    vertices over the left factor's minimum cuts under "min_cuts_only",
+    over its cuts of every size under "all_cuts"."""
     branch = _k1_branch(left)
     m = g2.n
     if branch == "thm22":
-        return ExtendedNat(left.kappa * m), branch
+        return ExtendedNat(left.kappa * m)
     if reading == "min_cuts_only":
         c = left.optimal_isolated
     else:
@@ -186,7 +189,7 @@ def _k1_rule(left: CutScan, g2: Graph, reading: str) -> tuple[ExtendedNat, str]:
     value = left.kappa * m + c * len(isolated_vertices(g2))
     if branch == "thm23":
         value = min(left.k1.value * m, value)
-    return ExtendedNat(value), branch
+    return ExtendedNat(value)
 
 
 def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
@@ -195,13 +198,11 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     A complete left factor joins any two rows completely, so a k1 cut
     takes n1 - 1 whole rows and a k1 cut of the last copy of g2: the
     answer is exact, builds no product, and is witnessed by those cuts.
-    For connected non-complete left factors the matching closed-form rule
-    is evaluated and a witness cut is lifted from the factor: the shorter
-    of the rows of a minimum isolation-free cut, when there is one, and
-    the stranded-copies augmentation of an optimal minimum cut, the rows
-    on a tie. The witness must check out as an isolation-free cut of the
-    product of exactly the claimed size; otherwise the product is scanned
-    by brute force.
+    For connected non-complete left factors the witness is the shorter
+    lift_k1_cut of a minimum k1 cut, when there is one, and of an optimal
+    minimum cut; its size is the matching rule's value. It must check out
+    as a k1 cut of the product, as it does whenever the right factor has
+    an edge; otherwise the product is scanned by brute force.
     """
     if g1.n == 0 or g2.n == 0:
         raise ValueError("product factors must be non-empty")
@@ -214,13 +215,12 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
         value = right.k1 if witness is None else ExtendedNat(len(witness))
         return LexK1Result(value=value, branch="complete_left", witness=witness)
     left = scan_cuts(g1)
-    value, branch = _k1_rule(left, g2, "min_cuts_only")
-    # min keeps the first of equal lengths, so a tie goes to the rows
-    lifts = [lift_min_cut(left.k1_cut, m)] if left.k1_cut is not None else []
-    witness = min(lifts + [lift_k1_cut(g1, g2, left.optimal_cut)], key=len)
+    # a k1 cut strands no row, so its lift is its rows; min keeps the
+    # first of equal lengths, so a tie goes to the rows
+    witness = min((lift_k1_cut(g1, g2, c) for c in (left.k1_cut, left.optimal_cut) if c is not None), key=len)
     product = lex_product(g1, g2)
-    if len(witness) == value and is_k1_vertex_cut(product, witness):
-        return LexK1Result(value=value, branch=branch, witness=witness)
+    if is_k1_vertex_cut(product, witness):
+        return LexK1Result(value=ExtendedNat(len(witness)), branch=_k1_branch(left), witness=witness)
     scan = scan_cuts(product)
     return LexK1Result(value=scan.k1, branch="oracle_fallback", witness=scan.k1_cut)
 

@@ -186,7 +186,7 @@ def test_criterion_5_counterexample_regression(report_line):
         "is a cut": is_vertex_cut(product, lifted),
         "is minimum (max flow)": vertex_connectivity(product) == 3,
         "is minimum (oracle)": vertex_connectivity_oracle(product) == 3,
-        "isolates no vertex": cut_certificate(product, lifted, kappa=3).isolated_after == (),
+        "isolates no vertex": cut_certificate(product, lifted).isolated_after == (),
         "product not super connected": not is_super_connected(product),
     }
     failed = [name for name, good in checks.items() if not good]

@@ -184,6 +184,19 @@ class TestProduct:
         code, _, _ = run_cli(capsys, "product", str(empty), str(k2), str(tmp_path / "x.g6"))
         assert code == EX_INPUT
 
+    def test_product_past_graph6_limit_is_input_error(self, capsys, tmp_path):
+        # 2 by 200000 vertices is 400000, past the 258047 that graph6 encodes
+        pair = tmp_path / "pair.el"
+        pair.write_text("2 0\n")
+        big = tmp_path / "big.el"
+        big.write_text("200000 0\n")
+        out_path = tmp_path / "product.g6"
+        code, out, err = run_cli(capsys, "product", str(pair), str(big), str(out_path))
+        assert code == EX_INPUT
+        assert out == ""
+        assert "400000 vertices" in err and "258047" in err
+        assert not out_path.exists()
+
     def test_counterexample_pipeline(self, capsys, tmp_path):
         """Bowtie times (one edge plus an isolated vertex) is not super
         connected even though the right factor has an isolated vertex."""

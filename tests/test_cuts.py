@@ -185,7 +185,7 @@ class TestEnumerateMinCuts:
             assert len(cert.cut) == kappa
             assert cert.is_minimum
             assert brute_is_cut(g, cert.cut)
-            fresh = cut_certificate(g, cert.cut, kappa=kappa)
+            fresh = cut_certificate(g, cert.cut)
             assert fresh == cert
 
 

@@ -154,7 +154,7 @@ class TestClassKey:
         for cert in witnessed:
             product = lex_product(parse_graph6(cert.g1), parse_graph6(cert.g2))
             scan = scan_cuts(product)
-            assert cert.witness == cut_certificate(product, scan.k1_cut, kappa=scan.kappa)
+            assert cert.witness == cut_certificate(product, scan.k1_cut)
 
     @pytest.mark.parametrize("theorem_id", ["thm21", "super_part1", "super_part3"])
     def test_perturbed_rules_witness_every_pair_as_a_full_scan_would(self, theorem_id, monkeypatch):
@@ -176,7 +176,7 @@ class TestClassKey:
             product = lex_product(parse_graph6(cert.g1), parse_graph6(cert.g2))
             scan = scan_cuts(product)
             field = "kappa_cut" if cert.oracle_value is not False else "k1_cut"
-            assert cert.witness == cut_certificate(product, getattr(scan, field), kappa=scan.kappa)
+            assert cert.witness == cut_certificate(product, getattr(scan, field))
             # super certificates carry bool values through JSON
             rebuilt = DiscrepancyCertificate.from_json(json.loads(json.dumps(cert.to_json())))
             assert rebuilt == cert
@@ -490,7 +490,7 @@ class TestCertificateValidation:
             g2=serialize_graph6(g2),
             formula_value=True,
             oracle_value=False,
-            witness=cut_certificate(lex_product(g1, g2), (), kappa=0),
+            witness=cut_certificate(lex_product(g1, g2), ()),
             reading="min_cuts_only",
         )
         assert not validate_certificate(cert)

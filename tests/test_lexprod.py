@@ -19,6 +19,7 @@ from lexiconn import (
     disjoint_union,
     empty_graph,
     enumerate_labeled_graphs,
+    is_complete,
     is_connected,
     is_k1_vertex_cut,
     is_super_connected,
@@ -175,8 +176,6 @@ class TestLiftK1Cut:
     @settings(max_examples=30, deadline=None)
     @given(graphs(max_n=4, min_n=3), graphs(max_n=3))
     def test_never_strands_an_isolated_copy(self, g1, g2):
-        from lexiconn import is_complete
-
         if not is_connected(g1) or is_complete(g1):
             return
         lifted = lift_k1_cut(g1, g2, scan_cuts(g1).optimal_cut)
@@ -214,9 +213,9 @@ class TestK1ProductFormula:
     def test_readings_differ_on_star(self):
         g2 = k2_plus_k1()
         left = scan_cuts(star_graph(3))
-        proof_reading, branch1 = lexiconn.lexprod._k1_rule(left, g2, "min_cuts_only")
-        loose_reading, branch2 = lexiconn.lexprod._k1_rule(left, g2, "all_cuts")
-        assert branch1 == branch2 == "cor24"
+        proof_reading = lexiconn.lexprod._k1_rule(left, g2, "min_cuts_only")
+        loose_reading = lexiconn.lexprod._k1_rule(left, g2, "all_cuts")
+        assert lexiconn.lexprod._k1_branch(left) == "cor24"
         assert proof_reading == ExtendedNat(6)
         assert loose_reading == ExtendedNat(4)
         # the oracle sides with the minimum-cut reading
@@ -287,6 +286,19 @@ class TestLexK1Connectivity:
                 expected = ExtendedNat(m * k1.value) if k1.is_finite else INFINITY
                 assert lex_k1_connectivity(g1, empty_graph(m)).value == expected, (g1.edges(), m)
         assert (pairs, fallbacks) == (341, 69)
+
+    def test_right_factors_with_an_edge_never_fall_back(self):
+        # a lifted disconnecting cut is isolation-free whenever the right
+        # factor has an edge, so its size is the rule's value
+        rights = [g2 for m in range(1, 4) for g2 in enumerate_labeled_graphs(m) if g2.num_edges]
+        lefts = [g1 for n1 in range(3, 7) for g1 in class_members(n1, connected=True) if not is_complete(g1)]
+        assert (len(lefts), len(rights)) == (137, 8)
+        for g1 in lefts:
+            left = scan_cuts(g1)
+            for g2 in rights:
+                result = lex_k1_connectivity(g1, g2)
+                assert result.branch == lexiconn.lexprod._k1_branch(left), (g1.edges(), g2.edges())
+                assert result.value == lexiconn.lexprod._k1_rule(left, g2, "min_cuts_only")
 
     def test_complete_left_factor_is_exact(self):
         result = lex_k1_connectivity(complete_graph(3), path_graph(3))
@@ -454,7 +466,7 @@ class TestCounterexampleRegression:
         assert vertex_connectivity_oracle(product) == 3
         from lexiconn import cut_certificate
 
-        cert = cut_certificate(product, lifted, kappa=3)
+        cert = cut_certificate(product, lifted)
         assert cert.is_minimum
         assert cert.isolated_after == ()
         assert not is_super_connected(product)
