@@ -27,12 +27,25 @@ the fewest isolated vertices with that count. It and
 ``is_super_connected`` read ``_optimal_min_cut``, one walk of the minimum
 cuts that stops at the first one isolating nobody; only when none does
 are the larger sizes walked for a k1 cut.
+
+The walk draws its subsets from a subset source, a function from a size
+to the subsets of that size to try. ``scan_cuts`` and every public
+oracle draw all of them in lex order. ``_twin_scan`` draws fewer. Twins
+are vertices u, v with N(u) - v = N(v) - u, and swapping two twins is
+an automorphism, so whether a subset cuts, whether it disconnects and
+how many vertices it isolates depend only on how many members it takes
+from each twin class. So it draws one subset per vector of counts, the
+first c_i members of each class i, and its kappa, k1, optimal_isolated
+and super_connected equal ``scan_cuts``'; its cuts are representatives,
+not the lex-first cuts. A product's right-factor copies on two or three
+vertices always fall into twin classes, so its walk is much shorter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import partial
+from itertools import accumulate, chain, combinations
 from typing import Iterator
 
 from .graphs import INFINITY, ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected, vertex_set
@@ -176,26 +189,76 @@ def cut_certificate(g: Graph, cut) -> CutCertificate:
     return _certificate(g, cut, 0, False, is_minimum=False)
 
 
-def _cuts_of_sizes(g: Graph, sizes) -> Iterator[tuple[tuple[int, ...], int, bool]]:
-    """The kernel over every subset of the given sizes, by size then lex order."""
-    return _vertex_cuts(g, chain.from_iterable(combinations(range(g.n), size) for size in sizes))
+def _lex_subsets(g: Graph):
+    """The lex subset source: size -> every subset of that size, in lex order."""
+    return partial(combinations, range(g.n))
 
 
-def _min_cuts(g: Graph) -> Iterator[tuple[tuple[int, ...], int, bool]]:
-    """The kernel's yields for the cuts of the first size that has any
-    (n - 1 always does); no subset of a larger size is drawn."""
+def _twin_classes(g: Graph) -> list[tuple[int, ...]]:
+    """The twin classes of ``g``, each ascending, in order of least member.
+
+    Vertices u and v are twins when N(u) - v = N(v) - u. That is an
+    equivalence relation (no vertex has both an adjacent and a
+    non-adjacent twin), so each vertex joins the first class whose least
+    member is its twin.
+    """
+    bits = g.adj_bits
+    classes: list[list[int]] = []
+    for v in range(g.n):
+        for members in classes:
+            r = members[0]
+            if bits[v] & ~(1 << r) == bits[r] & ~(1 << v):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    return [tuple(members) for members in classes]
+
+
+def _twin_subsets(g: Graph):
+    """The twin-quotient subset source: size -> one subset per vector of
+    counts (c_i) over ``g``'s twin classes summing to that size, namely the
+    first c_i members of each class i, in no promised order."""
+    classes = _twin_classes(g)
+    singles = tuple(members[0] for members in classes if len(members) == 1)
+    groups = [members for members in classes if len(members) > 1]
+    # room[i]: the most vertices that groups i.. and the singles can supply
+    room = list(accumulate((len(members) for members in reversed(groups)), initial=len(singles)))[::-1]
+
+    def heads(i: int, left: int):
+        """(the members taken from groups i.., how many the singles must supply)."""
+        if i == len(groups):
+            yield (), left
+            return
+        group = groups[i]
+        for count in range(max(0, left - room[i + 1]), min(left, len(group)) + 1):
+            for head, rest in heads(i + 1, left - count):
+                yield group[:count] + head, rest
+
+    def subsets(size: int):
+        for head, rest in heads(0, size):
+            for tail in combinations(singles, rest):
+                yield head + tail
+
+    return subsets
+
+
+def _min_cuts(g: Graph, subsets) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+    """The kernel's yields for the cuts that ``subsets`` draws of the first
+    size that has any (n - 1 always does); no larger size is drawn."""
     for size in range(g.n):
-        cuts = _vertex_cuts(g, combinations(range(g.n), size))
+        cuts = _vertex_cuts(g, subsets(size))
         first = next(cuts, None)
         if first is not None:
             return chain((first,), cuts)
     raise ValueError("the empty graph has no cuts")
 
 
-def _optimal_min_cut(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def _optimal_min_cut(g: Graph, subsets) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """(first minimum cut, first minimum cut leaving the fewest isolated
-    vertices, that count); the walk stops at a cut leaving none."""
-    hits = _min_cuts(g)
+    vertices, that count), in the order of ``subsets``; the walk stops at
+    a cut leaving none."""
+    hits = _min_cuts(g, subsets)
     first, rem, _ = next(hits)
     optimal, fewest = first, _isolated_mask(g.adj_bits, rem).bit_count()
     if fewest:
@@ -208,17 +271,18 @@ def _optimal_min_cut(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return first, optimal, fewest
 
 
-def _first_k1_cut(g: Graph, sizes) -> tuple[tuple[int, ...], int, bool] | None:
-    """The kernel's hit for the first cut of ``sizes``, by size then lex
-    order, that disconnects ``g`` and isolates nobody; None when none does."""
-    for cut, rem, disconnects in _cuts_of_sizes(g, sizes):
+def _first_k1_cut(g: Graph, sizes, subsets) -> tuple[tuple[int, ...], int, bool] | None:
+    """The kernel's hit for the first subset of ``sizes``, by size then in
+    the order of ``subsets``, that disconnects ``g`` and isolates nobody;
+    None when none does."""
+    for cut, rem, disconnects in _vertex_cuts(g, chain.from_iterable(map(subsets, sizes))):
         if disconnects and not _isolated_mask(g.adj_bits, rem):
             return cut, rem, disconnects
     return None
 
 
-def scan_cuts(g: Graph) -> CutScan:
-    """Run the combined connectivity / k1-connectivity sweep once.
+def _walk(g: Graph, subsets) -> CutScan:
+    """The sweep behind ``scan_cuts``, drawing its subsets from ``subsets``.
 
     The first pass tallies the isolated vertices each minimum cut leaves and
     stops at one leaving none: it disconnects, so it is the first k1 cut.
@@ -226,10 +290,10 @@ def scan_cuts(g: Graph) -> CutScan:
     leaves two components of at least two vertices each. A connected graph
     (kappa > 0, or K1) is super connected when every minimum cut isolates.
     """
-    kappa_cut, optimal_cut, optimal_isolated = _optimal_min_cut(g)
+    kappa_cut, optimal_cut, optimal_isolated = _optimal_min_cut(g, subsets)
     k1_cut = optimal_cut if optimal_isolated == 0 else None
     if k1_cut is None:
-        hit = _first_k1_cut(g, range(len(kappa_cut) + 1, g.n - 3))
+        hit = _first_k1_cut(g, range(len(kappa_cut) + 1, g.n - 3), subsets)
         k1_cut = hit[0] if hit is not None else None
     return CutScan(
         kappa=len(kappa_cut),
@@ -242,9 +306,22 @@ def scan_cuts(g: Graph) -> CutScan:
     )
 
 
+def scan_cuts(g: Graph) -> CutScan:
+    """Run the combined connectivity / k1-connectivity sweep once, over
+    every subset by size then lex order, so each cut is the first of its
+    kind in that order."""
+    return _walk(g, _lex_subsets(g))
+
+
+def _twin_scan(g: Graph) -> CutScan:
+    """``scan_cuts``' sweep over the twin-quotient subsets: the same kappa,
+    k1, optimal_isolated and super_connected, but representative cuts."""
+    return _walk(g, _twin_subsets(g))
+
+
 def vertex_connectivity_oracle(g: Graph) -> int:
     """Connectivity by plain subset enumeration, smallest size first."""
-    return len(next(_min_cuts(g))[0])
+    return len(next(_min_cuts(g, _lex_subsets(g)))[0])
 
 
 def k1_connectivity(g: Graph) -> ExtendedNat:
@@ -261,7 +338,7 @@ def enumerate_min_vertex_cuts(g: Graph) -> list[CutCertificate]:
         raise ValueError("minimum-cut enumeration requires a non-complete graph")
     return [
         _certificate(g, cut, rem, disconnects, is_minimum=True)
-        for cut, rem, disconnects in _min_cuts(g)
+        for cut, rem, disconnects in _min_cuts(g, _lex_subsets(g))
     ]
 
 
@@ -278,4 +355,4 @@ def is_super_connected(g: Graph) -> bool:
     if is_complete(g):
         return True
     # some minimum cut isolates nobody exactly when the fewest isolated is 0
-    return _optimal_min_cut(g)[2] > 0
+    return _optimal_min_cut(g, _lex_subsets(g))[2] > 0

@@ -21,13 +21,21 @@ quantified, because the two natural readings genuinely differ.
 
 Cut scans are memoized for the life of the process, keyed by the
 isomorphism classes of the factors, because the reports of a sweep share
-their products up to relabeling; a hit builds nothing. Only invariant
-fields (kappa, k1, the fewest isolated vertices a minimum cut leaves and
-super connectivity) are read from the memo, since its cuts belong to
-whichever labeled member of the class was scanned first. A factor that
-is disconnected or complete is recorded without a scan, so the
-hypotheses need no graph search per pair. A discrepancy's witness is
-taken from its own labeled product, so reports do not depend on the memo.
+their products up to relabeling; a hit builds nothing. A memo entry is
+the twin-quotient walk of cuts._twin_scan, which tries one subset per
+count vector over the graph's twin classes: swapping two twins is an
+automorphism, so its kappa, k1, fewest isolated vertices over minimum
+cuts and super connectivity are scan_cuts', and only those fields are
+read. Its cuts are unread representatives. A factor that is
+disconnected or complete is recorded without a scan, so the hypotheses
+need no graph search per pair. A discrepancy's witness is taken from its
+own labeled product, so reports do not depend on the memo.
+
+Within one verify_theorem call, the verdict on a pair (skipped, agreed,
+or the discrepancy's values and witness size) is kept per pair of
+factor classes, since every input to it is a class invariant. A repeat
+visit to a discrepant class pair only writes its certificate: it
+serializes the factors and walks the witness on its labeled product.
 
 A graph on n <= ENUMERATION_LIMIT vertices is keyed by n and the least
 edge mask, in enumerate_labeled_graphs' bit order, over its relabelings.
@@ -45,7 +53,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
-from .cuts import CutCertificate, CutScan, _certificate, _cuts_of_sizes, _first_k1_cut, scan_cuts
+from .cuts import CutCertificate, CutScan, _certificate, _first_k1_cut, _lex_subsets, _twin_scan, _vertex_cuts
 from .graphs import ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected
 from .io import parse_graph6, serialize_graph6
 from .lexprod import READINGS, _k1_branch, _k1_rule, _kappa_rule, _super_branch, lex_product
@@ -277,9 +285,9 @@ def _scan(g1: Graph, g2: Graph | None = None) -> CutScan | None:
     key = (_class_key(g1), _class_key(g2) if g2 is not None else None)
     if key not in _SCANS:
         if g2 is not None:
-            _SCANS[key] = scan_cuts(lex_product(g1, g2))
+            _SCANS[key] = _twin_scan(lex_product(g1, g2))
         else:
-            _SCANS[key] = scan_cuts(g1) if is_connected(g1) and not is_complete(g1) else None
+            _SCANS[key] = _twin_scan(g1) if is_connected(g1) and not is_complete(g1) else None
     return _SCANS[key]
 
 
@@ -302,14 +310,14 @@ def _formula(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     return theorem_id == "super_part3"
 
 
-def _check(theorem_id: str, g1: Graph, g2: Graph, reading: str):
+def _verdict(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     """None when (g1, g2) fails the rule's hypotheses, True when the rule
-    and the oracle agree, else the pair's DiscrepancyCertificate.
+    and the oracle agree, else the discrepancy's facts (formula value,
+    oracle value, witness), where the witness is None when the oracle
+    value is infinite and else (is it a k1 cut, its size, is_minimum).
 
-    The oracle value comes from the class memo, whose cuts may be another
-    labeling's, so the witness is the first cut of the pair's own labeled
-    product, in lex order, at the size the memo proved (the cut a full
-    scan would find), certified from that hit; none raises RuntimeError.
+    Every part is read from the factors' classes, so the verdict holds for
+    every relabeling of either factor.
     """
     formula = _formula(theorem_id, g1, g2, reading)
     if formula is None:
@@ -326,18 +334,33 @@ def _check(theorem_id: str, g1: Graph, g2: Graph, reading: str):
         k1_witness = not oracle
     if formula == oracle:
         return True
-    witness = None
-    if not k1_witness or pscan.k1.is_finite:
+    if k1_witness and not pscan.k1.is_finite:
+        return formula, oracle, None
+    size = pscan.k1.value if k1_witness else pscan.kappa
+    return formula, oracle, (k1_witness, size, size == pscan.kappa)
+
+
+def _discrepancy(theorem_id: str, g1: Graph, g2: Graph, reading: str, facts) -> DiscrepancyCertificate:
+    """The pair's certificate from its verdict's ``facts``.
+
+    The witness is the first cut of the pair's own labeled product, in lex
+    order, of the size the memo proved (the cut a full scan would find),
+    certified from that hit; none raises RuntimeError.
+    """
+    formula, oracle, witness = facts
+    if witness is not None:
+        k1_witness, size, is_minimum = witness
         labeled = lex_product(g1, g2)
+        lex = _lex_subsets(labeled)
         if k1_witness:
-            hit = _first_k1_cut(labeled, (pscan.k1.value,))
+            hit = _first_k1_cut(labeled, (size,), lex)
         else:
-            hit = next(_cuts_of_sizes(labeled, (pscan.kappa,)), None)
+            hit = next(_vertex_cuts(labeled, lex(size)), None)
         if hit is None:
             field = "k1" if k1_witness else "kappa"
             raise RuntimeError(f"the class memo has no {field}_cut of its size on {serialize_graph6(labeled)}")
         cut, rem, disconnects = hit
-        witness = _certificate(labeled, cut, rem, disconnects, is_minimum=len(cut) == pscan.kappa)
+        witness = _certificate(labeled, cut, rem, disconnects, is_minimum)
     return DiscrepancyCertificate(
         theorem_id=theorem_id,
         g1=serialize_graph6(g1),
@@ -347,6 +370,15 @@ def _check(theorem_id: str, g1: Graph, g2: Graph, reading: str):
         witness=witness,
         reading=reading,
     )
+
+
+def _check(theorem_id: str, g1: Graph, g2: Graph, reading: str):
+    """None when (g1, g2) fails the rule's hypotheses, True when the rule
+    and the oracle agree, else the pair's DiscrepancyCertificate."""
+    verdict = _verdict(theorem_id, g1, g2, reading)
+    if verdict is None or verdict is True:
+        return verdict
+    return _discrepancy(theorem_id, g1, g2, reading, verdict)
 
 
 def verify_theorem(
@@ -368,14 +400,18 @@ def verify_theorem(
     start = time.perf_counter()
     skipped = agreements = 0
     discrepancies: list[DiscrepancyCertificate] = []
+    verdicts: dict[tuple[tuple, tuple], object] = {}
     for g1, g2 in family.instances():
-        outcome = _check(theorem_id, g1, g2, reading)
-        if outcome is None:
+        key = (_class_key(g1), _class_key(g2))
+        if key not in verdicts:
+            verdicts[key] = _verdict(theorem_id, g1, g2, reading)
+        verdict = verdicts[key]
+        if verdict is None:
             skipped += 1
-        elif outcome is True:
+        elif verdict is True:
             agreements += 1
         else:
-            discrepancies.append(outcome)
+            discrepancies.append(_discrepancy(theorem_id, g1, g2, reading, verdict))
     wall_ms = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         theorem_id=theorem_id,

@@ -39,8 +39,10 @@ isolation-free; and G1 - C is disconnected, so two pieces remain. Only an
 edgeless right factor E_m falls back; the tests pin k1(G1 by E_m) =
 m k1(G1) over connected left factors on at most 5 vertices. A verified
 witness proves only that k1 is at most the value, so an overestimate goes
-uncaught: "cor24" gives 14 for graph6 ``Fi`AO`` by K2 + 3K1, where a
-lifted k1 cut has 13 vertices.
+uncaught. By K2 + 3K1, "cor24" gives 14 for graph6 ``Fi`AO`` and "thm23"
+gives 14 for graph6 ``HNhA@`?``, and both products have a lifted k1 cut
+of 13 vertices. The harness finds no "thm23" discrepancy over six-vertex
+left factors, but it checks only products within its PRODUCT_LIMIT.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from lexiconn import (
     vertex_connectivity,
     vertex_connectivity_oracle,
 )
+from lexiconn.cuts import _twin_classes, _twin_scan, _twin_subsets
 
 
 def graphs(max_n=7, min_n=1):
@@ -334,6 +335,36 @@ class TestLeastIsolatingCut:
         _, over_all = brute_least_isolating(g)
         assert over_all == (0 if scan_cuts(g).k1.is_finite else 1)
         assert over_all <= scan_cuts(g).optimal_isolated
+
+
+def scan_invariants(scan):
+    """The fields the harness reads from its memo."""
+    return scan.kappa, scan.k1, scan.optimal_isolated, scan.super_connected
+
+
+class TestTwinScan:
+    """The memo walk: one subset per count vector over the twin classes."""
+
+    def test_invariants_equal_the_lex_scan_on_every_small_graph(self):
+        # all 33,867 labeled graphs on 1-6 vertices
+        for n in range(1, 7):
+            for g in enumerate_labeled_graphs(n):
+                assert scan_invariants(_twin_scan(g)) == scan_invariants(scan_cuts(g)), g.edges()
+
+    def test_classes_are_the_pairwise_twin_partition(self):
+        for n in range(1, 7):
+            for g in enumerate_labeled_graphs(n):
+                nbrs = [g.neighbors(v) for v in range(n)]
+                partition = {
+                    tuple(u for u in range(n) if nbrs[u] - {v} == nbrs[v] - {u}) for v in range(n)
+                }
+                assert _twin_classes(g) == sorted(partition), g.edges()
+
+    def test_one_subset_per_count_vector(self):
+        # the three vertices of E3 are one class; P3's ends are twins
+        assert [list(_twin_subsets(empty_graph(3))(size)) for size in range(4)] == [[()], [(0,)], [(0, 1)], [(0, 1, 2)]]
+        drawn = [sorted(map(sorted, _twin_subsets(path_graph(3))(size))) for size in range(4)]
+        assert drawn == [[[]], [[0], [1]], [[0, 1], [0, 2]], [[0, 1, 2]]]
 
 
 class TestCertificates:

@@ -30,7 +30,7 @@ from lexiconn import (
 import lexiconn.harness
 import lexiconn.lexprod
 from lexiconn.graphs import ExtendedNat
-from lexiconn.harness import _class_key, clear_caches
+from lexiconn.harness import _check, _class_key, clear_caches
 from lexiconn.io import GraphParseError
 
 
@@ -301,7 +301,7 @@ class TestVerifyTheorem:
 
         for module, name in (
             (lexiconn.harness, "lex_product"),
-            (lexiconn.harness, "scan_cuts"),
+            (lexiconn.harness, "_twin_scan"),
             (lexiconn.lexprod, "scan_cuts"),
         ):
             key = f"{module.__name__}.{name}"
@@ -312,7 +312,7 @@ class TestVerifyTheorem:
         assert first[0].discrepancies == first[1].discrepancies == ()
         assert calls == {
             "lexiconn.harness.lex_product": 0,
-            "lexiconn.harness.scan_cuts": 0,
+            "lexiconn.harness._twin_scan": 0,
             "lexiconn.lexprod.scan_cuts": 0,
         }
         # a witness walks its own labeled product, but scans nothing
@@ -320,9 +320,28 @@ class TestVerifyTheorem:
         assert again.canonical_json() == witnessed.canonical_json()
         assert calls == {
             "lexiconn.harness.lex_product": 48,
-            "lexiconn.harness.scan_cuts": 0,
+            "lexiconn.harness._twin_scan": 0,
             "lexiconn.lexprod.scan_cuts": 0,
         }
+
+    def test_verdicts_are_derived_once_per_class_pair(self, monkeypatch):
+        family = InstanceFamily(4, 3)
+        verdict = lexiconn.harness._verdict
+        derived = []
+
+        def counting(theorem_id, g1, g2, reading):
+            derived.append((_class_key(g1), _class_key(g2)))
+            return verdict(theorem_id, g1, g2, reading)
+
+        monkeypatch.setattr(lexiconn.harness, "_verdict", counting)
+        report = verify_theorem("cor24", family, "all_cuts")
+        # 18 left classes on 1-4 vertices by 7 right classes on 1-3
+        assert len(derived) == len(set(derived)) == 126
+        # each visit still writes the certificate a lone check of its pair
+        # writes; test_golden pins the report's bytes
+        checked = [_check("cor24", g1, g2, "all_cuts") for g1, g2 in family.instances()]
+        assert report.discrepancies == tuple(c for c in checked if c is not None and c is not True)
+        assert len(report.discrepancies) == 168
 
     def test_kappa_rules_read_the_left_factor_without_a_max_flow(self, monkeypatch):
         # thm21 reads kappa(g1) from the memo, thm21_complete knows it is n1 - 1;
@@ -352,13 +371,13 @@ class TestVerifyTheorem:
 
         clear_caches()
         scanned = []
-        scan = lexiconn.harness.scan_cuts
+        scan = lexiconn.harness._twin_scan
 
         def recording(g):
             scanned.append(g)
             return scan(g)
 
-        monkeypatch.setattr(lexiconn.harness, "scan_cuts", recording)
+        monkeypatch.setattr(lexiconn.harness, "_twin_scan", recording)
         for theorem_id in ("thm21", "thm22", "cor24", "super_part1", "super_part2", "super_part3"):
             verify_theorem(theorem_id, InstanceFamily(4, 3))
         assert scanned

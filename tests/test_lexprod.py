@@ -40,6 +40,7 @@ from lexiconn import (
     vertex_connectivity_oracle,
 )
 import lexiconn.lexprod
+from lexiconn.cuts import _twin_scan
 from lexiconn.harness import _class_key
 
 
@@ -377,6 +378,41 @@ class TestLexK1Connectivity:
     def test_no_cut_rule_is_not_an_overestimate(self):
         g1, g2 = parse_graph6("Fi`AO"), disjoint_union(complete_graph(2), empty_graph(3))
         assert lex_k1_connectivity(g1, g2).value <= 13
+
+    def test_mid_branch_left_factor_lifts_a_13_vertex_k1_cut(self):
+        # kappa 1 (cut {1} isolates 5, 6 and 8), k1 3; the 45-vertex
+        # product is past the oracle budget too
+        g1, g2 = parse_graph6("HNhA@`?"), disjoint_union(complete_graph(2), empty_graph(3))
+        left = scan_cuts(g1)
+        assert (left.kappa, left.k1, left.optimal_isolated) == (1, 3, 3)
+        lifted = lift_k1_cut(g1, g2, (0, 2))
+        assert len(lifted) == 13
+        assert is_k1_vertex_cut(lex_product(g1, g2), lifted)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="thm23 overestimates; needs an exact k1 rule")
+    def test_mid_branch_rule_is_not_an_overestimate(self):
+        g1, g2 = parse_graph6("HNhA@`?"), disjoint_union(complete_graph(2), empty_graph(3))
+        result = lex_k1_connectivity(g1, g2)
+        assert result.branch == "thm23"
+        assert result.value <= 13
+
+
+class TestTwinScanOnProducts:
+    def test_invariants_equal_the_lex_scan_up_to_16_vertices(self):
+        # one member of each class pair with both factors on 2-6 vertices
+        # (1321 products); a one-vertex factor gives a graph on at most 6
+        for n1 in range(2, 7):
+            for n2 in range(2, min(6, 16 // n1) + 1):
+                for g1 in class_members(n1):
+                    for g2 in class_members(n2):
+                        product = lex_product(g1, g2)
+                        twin, lex = _twin_scan(product), scan_cuts(product)
+                        assert (twin.kappa, twin.k1, twin.optimal_isolated, twin.super_connected) == (
+                            lex.kappa,
+                            lex.k1,
+                            lex.optimal_isolated,
+                            lex.super_connected,
+                        ), (g1.edges(), g2.edges())
 
 
 class TestLexSuperConnected:
