@@ -3,9 +3,9 @@
 This module is the brute-force side of the library: predicates that say
 what a subset of vertices does to a graph, subset-enumeration oracles for
 connectivity and isolation-free connectivity, minimum-cut enumeration and
-the super-connectivity test built on it. It deliberately shares nothing
-with the max-flow connectivity in :mod:`lexiconn.graphs` beyond the Graph
-type and its bit helper, so the two routes can check each other.
+the super-connectivity test built on it. Nothing here runs a max flow,
+so it and the max-flow connectivity in :mod:`lexiconn.graphs` can check
+each other.
 
 Terminology. A vertex cut is a subset whose removal disconnects the graph
 or shrinks it to a single vertex (removing everything does not count). An
@@ -29,23 +29,24 @@ cuts that stops at the first one isolating nobody; only when none does
 are the larger sizes walked for a k1 cut.
 
 The walk draws its subsets from a subset source, a function from a size
-to the subsets of that size to try. ``scan_cuts`` and every public
-oracle draw all of them in lex order. ``_twin_scan`` draws fewer. Twins
-are vertices u, v with N(u) - v = N(v) - u, and swapping two twins is
-an automorphism, so whether a subset cuts, whether it disconnects and
-how many vertices it isolates depend only on how many members it takes
-from each twin class. So it draws one subset per vector of counts, the
-first c_i members of each class i, and its kappa, k1, optimal_isolated
-and super_connected equal ``scan_cuts``'; its cuts are representatives,
-not the lex-first cuts. A product's right-factor copies on two or three
-vertices always fall into twin classes, so its walk is much shorter.
+to the subsets of that size to try, in lex order. ``scan_cuts`` and every
+public oracle draw all of them. ``_twin_scan`` draws fewer. Twins are
+vertices u, v with N(u) - v = N(v) - u, and swapping two twins is an
+automorphism, so it keeps whether a subset cuts, whether it disconnects
+and how many vertices it isolates. A subset that takes a later twin but
+not an earlier one becomes lex-smaller by the swap, so the lex-first cut
+of every kind the walk looks for takes a prefix of each twin class.
+``_twin_scan`` draws only those prefix subsets, and returns exactly
+``scan_cuts``' CutScan, cuts included. A product's right-factor copies
+on two or three vertices always fall into twin classes, so its walk is
+much shorter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, combinations
+from itertools import chain, combinations
 from typing import Iterator
 
 from .graphs import INFINITY, ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected, vertex_set
@@ -194,53 +195,34 @@ def _lex_subsets(g: Graph):
     return partial(combinations, range(g.n))
 
 
-def _twin_classes(g: Graph) -> list[tuple[int, ...]]:
-    """The twin classes of ``g``, each ascending, in order of least member.
-
-    Vertices u and v are twins when N(u) - v = N(v) - u. That is an
-    equivalence relation (no vertex has both an adjacent and a
-    non-adjacent twin), so each vertex joins the first class whose least
-    member is its twin.
-    """
-    bits = g.adj_bits
-    classes: list[list[int]] = []
-    for v in range(g.n):
-        for members in classes:
-            r = members[0]
-            if bits[v] & ~(1 << r) == bits[r] & ~(1 << v):
-                members.append(v)
-                break
-        else:
-            classes.append([v])
-    return [tuple(members) for members in classes]
-
-
 def _twin_subsets(g: Graph):
-    """The twin-quotient subset source: size -> one subset per vector of
-    counts (c_i) over ``g``'s twin classes summing to that size, namely the
-    first c_i members of each class i, in no promised order."""
-    classes = _twin_classes(g)
-    singles = tuple(members[0] for members in classes if len(members) == 1)
-    groups = [members for members in classes if len(members) > 1]
-    # room[i]: the most vertices that groups i.. and the singles can supply
-    room = list(accumulate((len(members) for members in reversed(groups)), initial=len(singles)))[::-1]
+    """The twin-prefix subset source: size -> the subsets of that size, in
+    lex order, that take each member's nearest earlier twin too, so a
+    prefix of every twin class; ``_lex_subsets(g)`` itself when no vertex
+    has an earlier twin."""
+    bits = g.adj_bits
+    # tail[v]: v and its later twins, the vertices that skipping v rules out
+    tail = [1 << v for v in range(g.n)]
+    for v in range(g.n - 1, 0, -1):
+        for u in range(v - 1, -1, -1):
+            if bits[u] & ~(1 << v) == bits[v] & ~(1 << u):
+                tail[u] |= tail[v]
+                break
+    if all(t.bit_count() == 1 for t in tail):
+        return _lex_subsets(g)
 
-    def heads(i: int, left: int):
-        """(the members taken from groups i.., how many the singles must supply)."""
-        if i == len(groups):
-            yield (), left
-            return
-        group = groups[i]
-        for count in range(max(0, left - room[i + 1]), min(left, len(group)) + 1):
-            for head, rest in heads(i + 1, left - count):
-                yield group[:count] + head, rest
+    def walk(taken: tuple[int, ...], need: int, allowed: int):
+        """Every way, in lex order, to add ``need`` of the ``allowed``
+        vertices, all above ``taken``, taking the least one before skipping it."""
+        if not need:
+            yield taken
+        elif need <= allowed.bit_count():
+            b = allowed & -allowed
+            v = b.bit_length() - 1
+            yield from walk(taken + (v,), need - 1, allowed ^ b)
+            yield from walk(taken, need, allowed & ~tail[v])
 
-    def subsets(size: int):
-        for head, rest in heads(0, size):
-            for tail in combinations(singles, rest):
-                yield head + tail
-
-    return subsets
+    return partial(walk, (), allowed=(1 << g.n) - 1)
 
 
 def _min_cuts(g: Graph, subsets) -> Iterator[tuple[tuple[int, ...], int, bool]]:
@@ -314,8 +296,8 @@ def scan_cuts(g: Graph) -> CutScan:
 
 
 def _twin_scan(g: Graph) -> CutScan:
-    """``scan_cuts``' sweep over the twin-quotient subsets: the same kappa,
-    k1, optimal_isolated and super_connected, but representative cuts."""
+    """``scan_cuts``' sweep over the twin-prefix subsets only, with the same
+    CutScan."""
     return _walk(g, _twin_subsets(g))
 
 

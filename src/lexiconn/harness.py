@@ -22,14 +22,14 @@ quantified, because the two natural readings genuinely differ.
 Cut scans are memoized for the life of the process, keyed by the
 isomorphism classes of the factors, because the reports of a sweep share
 their products up to relabeling; a hit builds nothing. A memo entry is
-the twin-quotient walk of cuts._twin_scan, which tries one subset per
-count vector over the graph's twin classes: swapping two twins is an
-automorphism, so its kappa, k1, fewest isolated vertices over minimum
-cuts and super connectivity are scan_cuts', and only those fields are
-read. Its cuts are unread representatives. A factor that is
-disconnected or complete is recorded without a scan, so the hypotheses
-need no graph search per pair. A discrepancy's witness is taken from its
-own labeled product, so reports do not depend on the memo.
+cuts._twin_scan of the first labeling visited, which walks only the
+subsets taking a prefix of each twin class and returns scan_cuts' exact
+CutScan. Its cuts belong to that labeling, so only its class invariants
+are read: kappa, k1, the fewest isolated vertices over minimum cuts and
+super connectivity. A factor that is disconnected or complete is
+recorded without a scan, so the hypotheses need no graph search per
+pair. A discrepancy's witness is walked on its own labeled product, over
+the same twin-prefix subsets, so reports do not depend on the memo.
 
 Within one verify_theorem call, the verdict on a pair (skipped, agreed,
 or the discrepancy's values and witness size) is kept per pair of
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
-from .cuts import CutCertificate, CutScan, _certificate, _first_k1_cut, _lex_subsets, _twin_scan, _vertex_cuts
+from .cuts import CutCertificate, CutScan, _certificate, _first_k1_cut, _twin_scan, _twin_subsets, _vertex_cuts
 from .graphs import ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected
 from .io import parse_graph6, serialize_graph6
 from .lexprod import READINGS, _k1_branch, _k1_rule, _kappa_rule, _super_branch, lex_product
@@ -279,9 +279,10 @@ def _class_key(g: Graph) -> tuple:
 
 def _scan(g1: Graph, g2: Graph | None = None) -> CutScan | None:
     """The memoized scan of ``g1``'s class, or of its product with ``g2``'s;
-    read only its invariant fields, never its cuts. A factor that is
-    disconnected or complete maps to None: no rule reads its scan, which
-    can walk a number of subsets exponential in its size."""
+    its cuts are those of the first labeling visited, so only its
+    invariant fields are read. A factor that is disconnected or complete
+    maps to None: no rule reads its scan, which can walk a number of
+    subsets exponential in its size."""
     key = (_class_key(g1), _class_key(g2) if g2 is not None else None)
     if key not in _SCANS:
         if g2 is not None:
@@ -344,18 +345,19 @@ def _discrepancy(theorem_id: str, g1: Graph, g2: Graph, reading: str, facts) -> 
     """The pair's certificate from its verdict's ``facts``.
 
     The witness is the first cut of the pair's own labeled product, in lex
-    order, of the size the memo proved (the cut a full scan would find),
-    certified from that hit; none raises RuntimeError.
+    order, of the size the memo proved (the cut scan_cuts would find),
+    walked over its twin-prefix subsets and certified from that hit; none
+    raises RuntimeError.
     """
     formula, oracle, witness = facts
     if witness is not None:
         k1_witness, size, is_minimum = witness
         labeled = lex_product(g1, g2)
-        lex = _lex_subsets(labeled)
+        subsets = _twin_subsets(labeled)
         if k1_witness:
-            hit = _first_k1_cut(labeled, (size,), lex)
+            hit = _first_k1_cut(labeled, (size,), subsets)
         else:
-            hit = next(_vertex_cuts(labeled, lex(size)), None)
+            hit = next(_vertex_cuts(labeled, subsets(size)), None)
         if hit is None:
             field = "k1" if k1_witness else "kappa"
             raise RuntimeError(f"the class memo has no {field}_cut of its size on {serialize_graph6(labeled)}")

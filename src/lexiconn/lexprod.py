@@ -36,13 +36,23 @@ cut C of the left factor: each row outside C that C does not strand has
 a neighbour row outside C, so no copy in it is isolated; each stranded
 row keeps the right factor minus its isolated vertices, non-empty and
 isolation-free; and G1 - C is disconnected, so two pieces remain. Only an
-edgeless right factor E_m falls back; the tests pin k1(G1 by E_m) =
-m k1(G1) over connected left factors on at most 5 vertices. A verified
-witness proves only that k1 is at most the value, so an overestimate goes
-uncaught. By K2 + 3K1, "cor24" gives 14 for graph6 ``Fi`AO`` and "thm23"
-gives 14 for graph6 ``HNhA@`?``, and both products have a lifted k1 cut
-of 13 vertices. The harness finds no "thm23" discrepancy over six-vertex
-left factors, but it checks only products within its PRODUCT_LIMIT.
+edgeless right factor E_m falls back, and there k1(G1 by E_m) = m k1(G1)
+for every G1, infinite when k1(G1) is. The rows of a k1 cut C of G1 are
+a k1 cut of the product, which they leave as (G1 - C) by E_m.
+Conversely, let S be a k1 cut of the product and R the rows it takes
+whole. Every other row keeps a copy, and two kept copies are adjacent
+exactly when their rows are. So a row isolated in G1 - R would leave an
+isolated copy, and as every piece of G1 - R then has an edge, the kept
+copies of each piece form one piece of the product: G1 - R is
+disconnected and isolates nobody, and |S| >= m |R| >= m k1(G1). A
+minimum S is thus whole rows, and lifting keeps lex order, so the
+product's first k1 cut is the rows of G1's first k1 cut. A verified
+witness proves only that k1 is at most the value, so an overestimate
+goes uncaught. By K2 + 3K1, "cor24" gives 14 for graph6 ``Fi`AO`` and
+"thm23" gives 14 for graph6 ``HNhA@`?``, and both products have a lifted
+k1 cut of 13 vertices. The harness finds no "thm23" discrepancy over
+six-vertex left factors, but it checks only products within its
+PRODUCT_LIMIT.
 """
 
 from __future__ import annotations
@@ -129,8 +139,10 @@ def lift_k1_cut(g1: Graph, g2: Graph, cut) -> tuple[int, ...]:
     Takes every copy of the cut vertices, plus the isolated copies of
     every left vertex stranded by the cut (those whose whole neighborhood
     lies inside it). Raises when ``cut`` is not a vertex cut of the left
-    factor.
+    factor or the right factor is empty.
     """
+    if g2.n == 0:
+        raise ValueError("right factor must have at least one vertex")
     cut = vertex_set(cut, n=g1.n)
     if not is_vertex_cut(g1, cut):
         raise ValueError("lift_k1_cut requires a vertex cut of the left factor")

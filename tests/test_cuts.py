@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,7 @@ from lexiconn import (
     vertex_connectivity,
     vertex_connectivity_oracle,
 )
-from lexiconn.cuts import _twin_classes, _twin_scan, _twin_subsets
+from lexiconn.cuts import _twin_scan, _twin_subsets
 
 
 def graphs(max_n=7, min_n=1):
@@ -337,34 +339,29 @@ class TestLeastIsolatingCut:
         assert over_all <= scan_cuts(g).optimal_isolated
 
 
-def scan_invariants(scan):
-    """The fields the harness reads from its memo."""
-    return scan.kappa, scan.k1, scan.optimal_isolated, scan.super_connected
-
-
 class TestTwinScan:
-    """The memo walk: one subset per count vector over the twin classes."""
+    """The memo walk: only the subsets taking a prefix of each twin class."""
 
     def test_invariants_equal_the_lex_scan_on_every_small_graph(self):
         # all 33,867 labeled graphs on 1-6 vertices
         for n in range(1, 7):
             for g in enumerate_labeled_graphs(n):
-                assert scan_invariants(_twin_scan(g)) == scan_invariants(scan_cuts(g)), g.edges()
+                assert _twin_scan(g) == scan_cuts(g), g.edges()
 
-    def test_classes_are_the_pairwise_twin_partition(self):
+    def test_source_draws_the_twin_prefix_combinations_in_lex_order(self):
         for n in range(1, 7):
             for g in enumerate_labeled_graphs(n):
                 nbrs = [g.neighbors(v) for v in range(n)]
-                partition = {
-                    tuple(u for u in range(n) if nbrs[u] - {v} == nbrs[v] - {u}) for v in range(n)
-                }
-                assert _twin_classes(g) == sorted(partition), g.edges()
-
-    def test_one_subset_per_count_vector(self):
-        # the three vertices of E3 are one class; P3's ends are twins
-        assert [list(_twin_subsets(empty_graph(3))(size)) for size in range(4)] == [[()], [(0,)], [(0, 1)], [(0, 1, 2)]]
-        drawn = [sorted(map(sorted, _twin_subsets(path_graph(3))(size))) for size in range(4)]
-        assert drawn == [[[]], [[0], [1]], [[0, 1], [0, 2]], [[0, 1, 2]]]
+                classes = {frozenset(u for u in range(n) if nbrs[u] - {v} == nbrs[v] - {u}) for v in range(n)}
+                prefixes = [(c, {frozenset(sorted(c)[:k]) for k in range(len(c) + 1)}) for c in classes]
+                source = _twin_subsets(g)
+                for size in range(n + 1):
+                    expected = [
+                        s
+                        for s in combinations(range(n), size)
+                        if all(c.intersection(s) in heads for c, heads in prefixes)
+                    ]
+                    assert list(source(size)) == expected, (g.edges(), size)
 
 
 class TestCertificates:

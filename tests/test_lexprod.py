@@ -174,6 +174,10 @@ class TestLiftK1Cut:
         with pytest.raises(ValueError):
             lift_k1_cut(path_graph(3), complete_graph(2), (0,))
 
+    def test_rejects_an_empty_right_factor(self):
+        with pytest.raises(ValueError, match="right factor"):
+            lift_k1_cut(path_graph(3), Graph(0), (1,))
+
     @settings(max_examples=30, deadline=None)
     @given(graphs(max_n=4, min_n=3), graphs(max_n=3))
     def test_never_strands_an_isolated_copy(self, g1, g2):
@@ -272,19 +276,21 @@ class TestLexK1Connectivity:
         assert scan_cuts(product).k1 == INFINITY
 
     def test_fallbacks_have_edgeless_right_factors_that_scale_the_left_k1(self):
-        # an exact rule for edgeless right factors rests on this:
-        # k1(G1 by E_m) = m * k1(G1), and no other right factor falls back
+        # lexprod proves k1(G1 by E_m) = m * k1(G1), with the rows of G1's
+        # first k1 cut as the product's first; no other right factor falls back
         pairs = fallbacks = 0
         for g1 in (g for n1 in range(1, 6) for g in class_members(n1, connected=True)):
-            k1 = k1_connectivity(g1)
+            left = scan_cuts(g1)
             for m in range(1, 4):
                 for g2 in enumerate_labeled_graphs(m):
                     result = lex_k1_connectivity(g1, g2)
                     if result.branch == "oracle_fallback":
                         assert g2.num_edges == 0, (g1.edges(), g2.edges())
+                        lifted = lift_k1_cut(g1, g2, left.k1_cut) if left.k1_cut is not None else None
+                        assert result.witness == lifted, (g1.edges(), m)
                         fallbacks += 1
                     pairs += 1
-                expected = ExtendedNat(m * k1.value) if k1.is_finite else INFINITY
+                expected = ExtendedNat(m * left.k1.value) if left.k1.is_finite else INFINITY
                 assert lex_k1_connectivity(g1, empty_graph(m)).value == expected, (g1.edges(), m)
         assert (pairs, fallbacks) == (341, 69)
 
@@ -406,13 +412,7 @@ class TestTwinScanOnProducts:
                 for g1 in class_members(n1):
                     for g2 in class_members(n2):
                         product = lex_product(g1, g2)
-                        twin, lex = _twin_scan(product), scan_cuts(product)
-                        assert (twin.kappa, twin.k1, twin.optimal_isolated, twin.super_connected) == (
-                            lex.kappa,
-                            lex.k1,
-                            lex.optimal_isolated,
-                            lex.super_connected,
-                        ), (g1.edges(), g2.edges())
+                        assert _twin_scan(product) == scan_cuts(product), (g1.edges(), g2.edges())
 
 
 class TestLexSuperConnected:
