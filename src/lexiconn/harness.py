@@ -34,8 +34,9 @@ the same twin-prefix subsets, so reports do not depend on the memo.
 Within one verify_theorem call, the verdict on a pair (skipped, agreed,
 or the discrepancy's values and witness size) is kept per pair of
 factor classes, since every input to it is a class invariant. A repeat
-visit to a discrepant class pair only writes its certificate: it
-serializes the factors and walks the witness on its labeled product.
+visit to a discrepant class pair only writes its certificate: it walks
+the witness on its labeled product and names the factors, each labeled
+factor serialized to graph6 once per call.
 
 A graph on n <= ENUMERATION_LIMIT vertices is keyed by n and the least
 edge mask, in enumerate_labeled_graphs' bit order, over its relabelings.
@@ -50,6 +51,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Iterator
 
@@ -115,6 +117,13 @@ class InstanceFamily:
     whose edges come from ``seed``; the same family always yields the
     same stream. Either way n1_max * n2_max is capped so the product
     oracles stay tractable.
+
+    An exhaustive family builds its labeled graphs on its first walk and
+    keeps them for its lifetime, one tuple per size shared by both sides,
+    so every walk hands out the same Graph objects. That holds about 4.8 MB
+    for InstanceFamily(6, 4), the order of the 4 MB class-key table for
+    six vertices. The tuples are not a field: ==, hash and repr see only
+    the parameters.
     """
 
     n1_max: int
@@ -139,14 +148,18 @@ class InstanceFamily:
             if not 0 <= self.edge_probability <= 1:
                 raise ValueError("edge_probability must lie in [0, 1]")
 
+    @cached_property
+    def _labeled(self) -> tuple[tuple[Graph, ...], ...]:
+        """enumerate_labeled_graphs(n) for n = 1 .. max(n1_max, n2_max)."""
+        return tuple(tuple(enumerate_labeled_graphs(n)) for n in range(1, max(self.n1_max, self.n2_max) + 1))
+
     def instances(self) -> Iterator[tuple[Graph, Graph]]:
         if self.mode == "exhaustive":
-            rights = [list(enumerate_labeled_graphs(n2)) for n2 in range(1, self.n2_max + 1)]
-            for n1 in range(1, self.n1_max + 1):
-                for g1 in enumerate_labeled_graphs(n1):
-                    for batch in rights:
-                        for g2 in batch:
-                            yield g1, g2
+            rights = list(itertools.chain.from_iterable(self._labeled[: self.n2_max]))
+            for batch in self._labeled[: self.n1_max]:
+                for g1 in batch:
+                    for g2 in rights:
+                        yield g1, g2
         else:
             rng = Random(self.seed)
             for _ in range(self.sample_count):
@@ -341,13 +354,16 @@ def _verdict(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     return formula, oracle, (k1_witness, size, size == pscan.kappa)
 
 
-def _discrepancy(theorem_id: str, g1: Graph, g2: Graph, reading: str, facts) -> DiscrepancyCertificate:
+def _discrepancy(
+    theorem_id: str, g1: Graph, g2: Graph, reading: str, facts, names: dict[tuple[int, ...], str]
+) -> DiscrepancyCertificate:
     """The pair's certificate from its verdict's ``facts``.
 
     The witness is the first cut of the pair's own labeled product, in lex
     order, of the size the memo proved (the cut scan_cuts would find),
     walked over its twin-prefix subsets and certified from that hit; none
-    raises RuntimeError.
+    raises RuntimeError. ``names`` maps a factor's adjacency to its graph6
+    string; a factor not in it yet is serialized and added.
     """
     formula, oracle, witness = facts
     if witness is not None:
@@ -363,10 +379,13 @@ def _discrepancy(theorem_id: str, g1: Graph, g2: Graph, reading: str, facts) -> 
             raise RuntimeError(f"the class memo has no {field}_cut of its size on {serialize_graph6(labeled)}")
         cut, rem, disconnects = hit
         witness = _certificate(labeled, cut, rem, disconnects, is_minimum)
+    for g in (g1, g2):
+        if g.adj_bits not in names:
+            names[g.adj_bits] = serialize_graph6(g)
     return DiscrepancyCertificate(
         theorem_id=theorem_id,
-        g1=serialize_graph6(g1),
-        g2=serialize_graph6(g2),
+        g1=names[g1.adj_bits],
+        g2=names[g2.adj_bits],
         formula_value=formula,
         oracle_value=oracle,
         witness=witness,
@@ -380,7 +399,7 @@ def _check(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     verdict = _verdict(theorem_id, g1, g2, reading)
     if verdict is None or verdict is True:
         return verdict
-    return _discrepancy(theorem_id, g1, g2, reading, verdict)
+    return _discrepancy(theorem_id, g1, g2, reading, verdict, {})
 
 
 def verify_theorem(
@@ -403,8 +422,13 @@ def verify_theorem(
     skipped = agreements = 0
     discrepancies: list[DiscrepancyCertificate] = []
     verdicts: dict[tuple[tuple, tuple], object] = {}
+    names: dict[tuple[int, ...], str] = {}
+    left = None
     for g1, g2 in family.instances():
-        key = (_class_key(g1), _class_key(g2))
+        # an exhaustive family hands out each left factor for a run of pairs
+        if g1 is not left:
+            left, left_key = g1, _class_key(g1)
+        key = (left_key, _class_key(g2))
         if key not in verdicts:
             verdicts[key] = _verdict(theorem_id, g1, g2, reading)
         verdict = verdicts[key]
@@ -413,7 +437,7 @@ def verify_theorem(
         elif verdict is True:
             agreements += 1
         else:
-            discrepancies.append(_discrepancy(theorem_id, g1, g2, reading, verdict))
+            discrepancies.append(_discrepancy(theorem_id, g1, g2, reading, verdict, names))
     wall_ms = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         theorem_id=theorem_id,

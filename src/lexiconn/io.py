@@ -10,7 +10,8 @@ ignored. Duplicate edge lines are idempotent.
 graph6: the compact printable-ASCII encoding of small undirected graphs.
 The upper triangle of the adjacency matrix is read column by column into
 a bit stream, padded with zeros to a multiple of six, and every six bits
-become one byte offset by 63.
+become one byte offset by 63. The parser rejects nonzero padding, so each
+graph has one spelling.
 """
 
 from __future__ import annotations
@@ -137,6 +138,9 @@ def parse_graph6(text: str) -> Graph:
         raise GraphParseError(f"truncated graph6 bit stream: need {need} data characters, got {len(body)}")
     if len(body) > need:
         raise GraphParseError(f"trailing data after graph6 bit stream ({len(body) - need} extra characters)")
+    pad = 6 * need - n * (n - 1) // 2
+    if pad and body[-1] & ((1 << pad) - 1):
+        raise GraphParseError(f"nonzero padding bits in graph6 bit stream: the last {pad} bits must be 0")
     edges = []
     k = 0
     for j in range(1, n):

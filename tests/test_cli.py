@@ -104,6 +104,13 @@ class TestCompute:
         assert code == EX_INPUT
         assert "line 2" in err
 
+    def test_graph6_with_nonzero_padding(self, capsys, tmp_path):
+        path = tmp_path / "k3.g6"
+        path.write_text("Bx\n")
+        code, _, err = run_cli(capsys, "compute", str(path))
+        assert code == EX_INPUT
+        assert "padding" in err
+
     def test_unknown_extension(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
         path.write_text("2 1\n0 1\n")

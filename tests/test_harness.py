@@ -30,7 +30,7 @@ from lexiconn import (
 import lexiconn.harness
 import lexiconn.lexprod
 from lexiconn.graphs import ExtendedNat
-from lexiconn.harness import _check, _class_key, clear_caches
+from lexiconn.harness import THEOREM_IDS, _check, _class_key, clear_caches
 from lexiconn.io import GraphParseError
 
 
@@ -97,6 +97,20 @@ class TestInstanceFamily:
         first = [(a, b) for a, b in fam.instances()]
         second = [(a, b) for a, b in fam.instances()]
         assert first == second
+
+    def test_exhaustive_walks_hand_out_the_same_graphs(self):
+        family = InstanceFamily(4, 3)
+        first, second = list(family.instances()), list(family.instances())
+        assert first == second
+        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(first, second))
+        # the pairs are those of the labeled enumeration, in its order
+        lefts = [g for n in range(1, 5) for g in enumerate_labeled_graphs(n)]
+        rights = [g for n in range(1, 4) for g in enumerate_labeled_graphs(n)]
+        assert first == [(g1, g2) for g1 in lefts for g2 in rights]
+        # the kept graphs are no field: the family compares, hashes and prints by its parameters
+        fresh = InstanceFamily(4, 3)
+        assert family == fresh and hash(family) == hash(fresh) and repr(family) == repr(fresh)
+        assert family != InstanceFamily(4, 2)
 
 
 def relabeled_graphs(max_n=7):
@@ -342,6 +356,27 @@ class TestVerifyTheorem:
         checked = [_check("cor24", g1, g2, "all_cuts") for g1, g2 in family.instances()]
         assert report.discrepancies == tuple(c for c in checked if c is not None and c is not True)
         assert len(report.discrepancies) == 168
+
+    def test_a_family_object_reused_across_a_sweep_writes_the_same_reports(self):
+        family = InstanceFamily(4, 3)
+        sweep = [(t, r) for t in THEOREM_IDS for r in (READINGS if t in ("thm22", "thm23", "cor24") else READINGS[:1])]
+        assert len(sweep) == 11
+        for theorem_id, reading in sweep:
+            shared = verify_theorem(theorem_id, family, reading)
+            assert shared.canonical_json() == verify_theorem(theorem_id, InstanceFamily(4, 3), reading).canonical_json()
+
+    def test_each_factor_is_named_once_per_report(self, monkeypatch):
+        calls = []
+        serialize = lexiconn.harness.serialize_graph6
+        monkeypatch.setattr(lexiconn.harness, "serialize_graph6", lambda g: calls.append(g) or serialize(g))
+        report = verify_theorem("cor24", InstanceFamily(4, 3), "all_cuts")
+        assert len(report.discrepancies) == 168
+        # two factors per certificate, but only 46 distinct labeled factors among them
+        names = {c.g1 for c in report.discrepancies} | {c.g2 for c in report.discrepancies}
+        assert len(calls) == len(names) == 46
+        # a second report names its factors afresh
+        verify_theorem("cor24", InstanceFamily(4, 3), "all_cuts")
+        assert len(calls) == 92
 
     def test_kappa_rules_read_the_left_factor_without_a_max_flow(self, monkeypatch):
         # thm21 reads kappa(g1) from the memo, thm21_complete knows it is n1 - 1;

@@ -129,6 +129,19 @@ class TestGraph6:
         with pytest.raises(GraphParseError):
             parse_graph6(text)
 
+    @pytest.mark.parametrize("text", ["B~", "Bx", ">>graph6<<Bx", "D~~"])
+    def test_nonzero_padding_rejected(self, text):
+        # the bits past the last vertex pair must be 0: K3 is only "Bw", K5 only "D~{"
+        with pytest.raises(GraphParseError, match="padding"):
+            parse_graph6(text)
+
+    def test_zero_padding_accepted(self):
+        assert parse_graph6("Bw") == complete_graph(3)
+        assert serialize_graph6(complete_graph(3)) == "Bw"
+        assert parse_graph6("D~{") == complete_graph(5)
+        # six bits for four vertices: nothing to pad, every bit is an edge
+        assert parse_graph6("C~") == complete_graph(4)
+
     @given(graphs())
     def test_round_trip(self, g):
         assert parse_graph6(serialize_graph6(g)) == g
