@@ -37,9 +37,10 @@ and how many vertices it isolates. A subset that takes a later twin but
 not an earlier one becomes lex-smaller by the swap, so the lex-first cut
 of every kind the walk looks for takes a prefix of each twin class.
 ``_twin_scan`` draws only those prefix subsets, and returns exactly
-``scan_cuts``' CutScan, cuts included. A product's right-factor copies
-on two or three vertices always fall into twin classes, so its walk is
-much shorter.
+``scan_cuts``' CutScan, cuts included; its source is one flat generator
+per size with a stack of the branches that skip a vertex and so its
+later twins. A product's right-factor copies on two or three vertices
+always fall into twin classes, so its walk is much shorter.
 """
 
 from __future__ import annotations
@@ -211,18 +212,25 @@ def _twin_subsets(g: Graph):
     if all(t.bit_count() == 1 for t in tail):
         return _lex_subsets(g)
 
-    def walk(taken: tuple[int, ...], need: int, allowed: int):
-        """Every way, in lex order, to add ``need`` of the ``allowed``
-        vertices, all above ``taken``, taking the least one before skipping it."""
-        if not need:
+    def walk(need: int):
+        """Every way, in lex order, to take ``need`` vertices: take the least
+        allowed vertex and stack the branch skipping it, if it can still
+        take ``need``, so every branch popped ends in a yield."""
+        skips = [((), need, (1 << g.n) - 1)] if need <= g.n else []
+        while skips:
+            taken, need, allowed = skips.pop()
+            while need:
+                b = allowed & -allowed
+                v = b.bit_length() - 1
+                rest = allowed & ~tail[v]
+                if need <= rest.bit_count():
+                    skips.append((taken, need, rest))
+                taken += (v,)
+                need -= 1
+                allowed ^= b
             yield taken
-        elif need <= allowed.bit_count():
-            b = allowed & -allowed
-            v = b.bit_length() - 1
-            yield from walk(taken + (v,), need - 1, allowed ^ b)
-            yield from walk(taken, need, allowed & ~tail[v])
 
-    return partial(walk, (), allowed=(1 << g.n) - 1)
+    return walk
 
 
 def _min_cuts(g: Graph, subsets) -> Iterator[tuple[tuple[int, ...], int, bool]]:

@@ -33,7 +33,9 @@ the same twin-prefix subsets, so reports do not depend on the memo.
 
 Within one verify_theorem call, the verdict on a pair (skipped, agreed,
 or the discrepancy's values and witness size) is kept per pair of
-factor classes, since every input to it is a class invariant. A repeat
+factor classes, since every input to it is a class invariant, and a
+pair visit is one lookup in its left class's row, keyed by the right
+factor's adjacency and filled from the class-pair verdicts. A repeat
 visit to a discrepant class pair only writes its certificate: it walks
 the witness on its labeled product and names the factors, each labeled
 factor serialized to graph6 once per call.
@@ -41,9 +43,10 @@ factor serialized to graph6 once per call.
 A graph on n <= ENUMERATION_LIMIT vertices is keyed by n and the least
 edge mask, in enumerate_labeled_graphs' bit order, over its relabelings.
 The first miss for n keys all labeled graphs on n vertices at once, by
-marking each class's orbit from its least mask. A larger graph is keyed
-by its labeled adjacency, uncached: that loses sharing between
-relabelings but never merges two classes.
+marking each class's orbit from its least mask; it builds each mask's
+adjacency from a smaller mask's, not a Graph. A larger graph is keyed by
+its labeled adjacency, uncached: that loses sharing between relabelings
+but never merges two classes.
 """
 
 from __future__ import annotations
@@ -280,13 +283,21 @@ def _class_key(g: Graph) -> tuple:
     relabelings = [
         [bit_of[min(p[i], p[j]), max(p[i], p[j])] for i, j in slots] for p in itertools.permutations(range(g.n))
     ]
+    # adjacency[mask | 1 << k] is adjacency[mask] plus slot k, for mask < 1 << k
+    adjacency = [(0,) * g.n]
+    for k, (i, j) in enumerate(slots):
+        for bits in adjacency[: 1 << k]:
+            row = list(bits)
+            row[i] |= 1 << j
+            row[j] |= 1 << i
+            adjacency.append(tuple(row))
     keys: list[tuple | None] = [None] * (1 << len(slots))
-    for mask, labeled in enumerate(enumerate_labeled_graphs(g.n)):
+    for mask, bits in enumerate(adjacency):
         if keys[mask] is None:
             key, edges = (g.n, mask), _bits_to_tuple(mask)
             for image_of in relabelings:
                 keys[sum(map(image_of.__getitem__, edges))] = key
-        _CLASS_KEYS[labeled.adj_bits] = keys[mask]
+        _CLASS_KEYS[bits] = keys[mask]
     return _CLASS_KEYS[g.adj_bits]
 
 
@@ -422,16 +433,22 @@ def verify_theorem(
     skipped = agreements = 0
     discrepancies: list[DiscrepancyCertificate] = []
     verdicts: dict[tuple[tuple, tuple], object] = {}
+    # per left class, each verdict by the right factor's adjacency, which fixes its n
+    rows: dict[tuple, dict[tuple[int, ...], object]] = {}
     names: dict[tuple[int, ...], str] = {}
     left = None
     for g1, g2 in family.instances():
         # an exhaustive family hands out each left factor for a run of pairs
         if g1 is not left:
-            left, left_key = g1, _class_key(g1)
-        key = (left_key, _class_key(g2))
-        if key not in verdicts:
-            verdicts[key] = _verdict(theorem_id, g1, g2, reading)
-        verdict = verdicts[key]
+            left_key = _class_key(g1)
+            left, row = g1, rows.setdefault(left_key, {})
+        try:
+            verdict = row[g2.adj_bits]
+        except KeyError:
+            key = (left_key, _class_key(g2))
+            if key not in verdicts:
+                verdicts[key] = _verdict(theorem_id, g1, g2, reading)
+            verdict = row[g2.adj_bits] = verdicts[key]
         if verdict is None:
             skipped += 1
         elif verdict is True:

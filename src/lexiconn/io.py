@@ -10,8 +10,9 @@ ignored. Duplicate edge lines are idempotent.
 graph6: the compact printable-ASCII encoding of small undirected graphs.
 The upper triangle of the adjacency matrix is read column by column into
 a bit stream, padded with zeros to a multiple of six, and every six bits
-become one byte offset by 63. The parser rejects nonzero padding, so each
-graph has one spelling.
+become one byte offset by 63. A vertex count above 62 takes the long form,
+'~' and three such bytes. The parser rejects nonzero padding and a long
+form for a count of 62 or less, so each graph has one spelling.
 """
 
 from __future__ import annotations
@@ -129,6 +130,8 @@ def parse_graph6(text: str) -> Graph:
         if len(vals) < 4:
             raise GraphParseError("truncated graph6 vertex count")
         n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        if n <= 62:
+            raise GraphParseError(f"graph6 spells a vertex count of {n} in one character, not the long form")
         body = vals[4:]
     else:
         n = vals[0]

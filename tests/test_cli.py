@@ -111,6 +111,13 @@ class TestCompute:
         assert code == EX_INPUT
         assert "padding" in err
 
+    def test_graph6_with_a_long_count_below_63_vertices(self, capsys, tmp_path):
+        path = tmp_path / "k4.g6"
+        path.write_text("~??C~\n")
+        code, _, err = run_cli(capsys, "compute", str(path))
+        assert code == EX_INPUT
+        assert "long form" in err
+
     def test_unknown_extension(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
         path.write_text("2 1\n0 1\n")

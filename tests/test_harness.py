@@ -357,6 +357,28 @@ class TestVerifyTheorem:
         assert report.discrepancies == tuple(c for c in checked if c is not None and c is not True)
         assert len(report.discrepancies) == 168
 
+    @pytest.mark.parametrize(
+        "family",
+        [InstanceFamily(4, 3), InstanceFamily(4, 3, mode="random", sample_count=300, seed=7)],
+        ids=["exhaustive", "random"],
+    )
+    def test_reports_equal_a_tally_of_every_pair_checked_alone(self, family):
+        # a report looks a pair's verdict up by its left class and its right
+        # factor's adjacency; a lone check of each pair must tally the same
+        pairs = list(family.instances())
+        keys = [(_class_key(g1), _class_key(g2)) for g1, g2 in pairs]
+        # the random family repeats class pairs under other labelings and objects
+        assert len(set(keys)) < len(pairs)
+        sweep = [(t, r) for t in THEOREM_IDS for r in (READINGS if t in ("thm22", "thm23", "cor24") else READINGS[:1])]
+        assert len(sweep) == 11
+        for theorem_id, reading in sweep:
+            report = verify_theorem(theorem_id, family, reading)
+            checked = [_check(theorem_id, g1, g2, reading) for g1, g2 in pairs]
+            assert report.skipped == checked.count(None), theorem_id
+            assert report.agreements == sum(c is True for c in checked), theorem_id
+            assert report.discrepancies == tuple(c for c in checked if c is not None and c is not True)
+            assert report.instances_checked == len(pairs) - report.skipped
+
     def test_a_family_object_reused_across_a_sweep_writes_the_same_reports(self):
         family = InstanceFamily(4, 3)
         sweep = [(t, r) for t in THEOREM_IDS for r in (READINGS if t in ("thm22", "thm23", "cor24") else READINGS[:1])]

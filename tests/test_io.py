@@ -129,6 +129,13 @@ class TestGraph6:
         with pytest.raises(GraphParseError):
             parse_graph6(text)
 
+    @pytest.mark.parametrize("text", ["~??C~", "~???", "~??" + serialize_graph6(complete_graph(62))])
+    def test_long_count_form_below_63_vertices_rejected(self, text):
+        # K4 is only "C~", the empty graph only "?" and K62 only "}...":
+        # the long form starts at 63 vertices
+        with pytest.raises(GraphParseError, match="long form"):
+            parse_graph6(text)
+
     @pytest.mark.parametrize("text", ["B~", "Bx", ">>graph6<<Bx", "D~~"])
     def test_nonzero_padding_rejected(self, text):
         # the bits past the last vertex pair must be 0: K3 is only "Bw", K5 only "D~{"
