@@ -7,7 +7,6 @@ so graphs can be shared freely between threads.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import total_ordering
 from typing import Iterable
 
@@ -58,11 +57,7 @@ class ExtendedNat:
         if isinstance(other, bool) or not isinstance(other, (int, ExtendedNat)):
             return NotImplemented
         o = self._coerce(other)
-        if self._value is None:
-            return False
-        if o is None:
-            return True
-        return self._value < o
+        return self._value is not None and (o is None or self._value < o)
 
     def __hash__(self):
         return hash(self._value) if self._value is not None else hash("infinity")
@@ -112,6 +107,14 @@ class Graph:
             bits[v] |= 1 << u
         self.n = n
         self.adj_bits = tuple(bits)
+
+    @classmethod
+    def _from_adj_bits(cls, adj_bits: tuple[int, ...]) -> "Graph":
+        """The graph with symmetric, loop-free ``adj_bits``, unchecked."""
+        g = object.__new__(cls)
+        g.n = len(adj_bits)
+        g.adj_bits = adj_bits
+        return g
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -179,6 +182,20 @@ def min_degree(g: Graph) -> int:
     return min(b.bit_count() for b in g.adj_bits)
 
 
+def _flood(bits, start: int) -> int:
+    """The mask of every vertex reachable from the vertices in ``start``."""
+    comp = frontier = start
+    while frontier:
+        reach = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            reach |= bits[b.bit_length() - 1]
+        frontier = reach & ~comp
+        comp |= frontier
+    return comp
+
+
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Components as sorted vertex tuples, ordered by smallest member."""
     if g.n == 0:
@@ -186,23 +203,16 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     comps = []
     left = (1 << g.n) - 1
     while left:
-        # flood from the smallest vertex not yet placed
-        comp = frontier = left & -left
-        while frontier:
-            reach = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                reach |= g.adj_bits[b.bit_length() - 1]
-            frontier = reach & ~comp
-            comp |= frontier
+        comp = _flood(g.adj_bits, left & -left)  # from the least vertex not yet placed
         comps.append(_bits_to_tuple(comp))
         left ^= comp
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    if g.n == 0:
+        raise ValueError("the empty graph has no components")
+    return _flood(g.adj_bits, 1) == (1 << g.n) - 1
 
 
 def is_complete(g: Graph) -> bool:
@@ -211,84 +221,80 @@ def is_complete(g: Graph) -> bool:
     return all(b.bit_count() == g.n - 1 for b in g.adj_bits)
 
 
-def _disjoint_paths(to: list[int], out_arcs: list[list[int]], s: int, t: int, cap: int) -> int:
+def _disjoint_paths(net: list[int], s: int, t: int, cap: int) -> int:
     """Maximum number of internally disjoint paths between non-adjacent
     s and t, capped at ``cap``: a max flow from out(s) to in(t) in the
-    split network of ``vertex_connectivity``, from a fresh zero flow.
+    split network ``net`` of ``vertex_connectivity``.
 
     Every arc has capacity one, which is exact. k internally disjoint
     paths use distinct arcs, so they are a flow of value k; a flow splits
     into paths that share no inner split arc, so into internally disjoint
     paths. The split arcs of s and t lie on no simple path from out(s) to
-    in(t), so their capacity does not matter either. Residual capacities
-    stay 0 or 1, so each BFS augmenting path carries exactly one unit.
+    in(t), so their capacity does not matter either. No two arcs are
+    antiparallel, so the residual network is one bitmask of arc heads per
+    node. The flow starts with the path s, c, t through each common
+    neighbour c, and each depth-first augmenting path adds one unit.
     """
-    residual = [1, 0] * (len(to) // 2)
-    source, sink = 2 * s + 1, 2 * t
-    flow = 0
+    n = len(net) // 2
+    source, sink = n + s, t
+    common = net[source] & net[n + t]
+    flow = common.bit_count()
+    if flow >= cap:
+        return cap
+    residual = list(net)
+    residual[source] ^= common
+    residual[sink] |= common << n
+    for c in _bits_to_tuple(common):
+        residual[c] = 1 << source
+        residual[n + c] ^= 1 << sink | 1 << c
     while flow < cap:
-        parent_arc = [-1] * len(out_arcs)
-        parent_arc[source] = -2
-        queue = deque([source])
-        while queue and parent_arc[sink] == -1:
-            u = queue.popleft()
-            for idx in out_arcs[u]:
-                if residual[idx] and parent_arc[to[idx]] == -1:
-                    parent_arc[to[idx]] = idx
-                    queue.append(to[idx])
-        if parent_arc[sink] == -1:
-            break
+        parent = [-1] * len(net)
+        seen, stack = 1 << source, [source]
+        while stack and not seen >> sink & 1:
+            u = stack.pop()
+            new = residual[u] & ~seen
+            seen |= new
+            while new:
+                w = (new & -new).bit_length() - 1
+                new ^= 1 << w
+                parent[w] = u
+                stack.append(w)
+        if not seen >> sink & 1:
+            return flow
         v = sink
         while v != source:
-            idx = parent_arc[v]
-            residual[idx] = 0
-            residual[idx ^ 1] = 1
-            v = to[idx ^ 1]
+            u = parent[v]
+            residual[u] ^= 1 << v
+            residual[v] |= 1 << u
+            v = u
         flow += 1
     return flow
 
 
 def vertex_connectivity(g: Graph) -> int:
     """Vertex connectivity via unit-capacity max flow over one
-    vertex-split network, built once per call and shared by every pair.
+    vertex-split network of bitmasks, built once per call and shared by
+    every pair; the augmenting-path searches run on those bitmasks.
 
-    Conventions: 0 for disconnected graphs and the one-vertex graph,
-    n - 1 for complete graphs (their only cuts shrink the graph to a
-    single vertex). Otherwise the minimum over s-t computations with a
-    pair strategy that fixes a minimum-degree vertex v and takes the
-    minimum cut between v and each of its non-neighbors, and between
-    each neighbor of v and that neighbor's non-neighbors. Any minimum
-    cut misses v or misses some neighbor of v, so one of these pairs
-    straddles it. Each pair's flow stops at the best cut found so far.
+    The minimum over s-t flows with a pair strategy that fixes a
+    minimum-degree vertex v and takes the minimum cut between v and each
+    of its non-neighbors, and between each neighbor of v and that
+    neighbor's non-neighbors. Any minimum cut misses v or misses some
+    neighbor of v, so one of these pairs straddles it. The best cut
+    starts at the minimum degree delta, as kappa <= delta, and each
+    pair's flow stops at the best cut so far. So a disconnected graph
+    and K1 give 0, and K_n, with no pair, gives n - 1.
     """
     if g.n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
-    if g.n == 1:
-        return 0
-    if not is_connected(g):
-        return 0
-    if is_complete(g):
-        return g.n - 1
-    # arcs in(v) -> out(v) (nodes 2v, 2v + 1) and out(x) -> in(y) for every
-    # edge xy in both directions; arc idx runs to to[idx], its reverse is idx ^ 1
+    # node v is in(v) and n + v is out(v); net[x] masks the heads of x's
+    # arcs, in(v) -> out(v) per vertex and out(x) -> in(y) per edge direction
     bits = g.adj_bits
-    to: list[int] = []
-    out_arcs: list[list[int]] = [[] for _ in range(2 * g.n)]
-    arcs = [(2 * v, 2 * v + 1) for v in range(g.n)]
-    arcs += [(2 * x + 1, 2 * y) for x in range(g.n) for y in range(g.n) if bits[x] >> y & 1]
-    for x, y in arcs:
-        out_arcs[x].append(len(to))
-        to.append(y)
-        out_arcs[y].append(len(to))
-        to.append(x)
+    net = [1 << v for v in range(g.n, 2 * g.n)] + list(bits)
     v = min(range(g.n), key=lambda u: bits[u].bit_count())
-    best = g.n - 1
-    for u in range(g.n):
-        if u != v and not bits[v] >> u & 1:
-            best = min(best, _disjoint_paths(to, out_arcs, v, u, best))
-    for w in range(g.n):
-        if bits[v] >> w & 1:
-            for u in range(g.n):
-                if u != w and not bits[w] >> u & 1:
-                    best = min(best, _disjoint_paths(to, out_arcs, w, u, best))
+    best = bits[v].bit_count()
+    for s in (v, *_bits_to_tuple(bits[v])):
+        for t in range(g.n):
+            if t != s and not bits[s] >> t & 1:
+                best = _disjoint_paths(net, s, t, best)
     return best

@@ -4,7 +4,9 @@ The product of a left factor on n1 vertices and a right factor on m
 vertices lives on n1 * m vertices indexed row-major: the copy of right
 vertex j inside left vertex i is the flat id i * m + j. Two product
 vertices are adjacent when their left coordinates are adjacent, or the
-left coordinates agree and the right coordinates are adjacent. With two
+left coordinates agree and the right coordinates are adjacent: the
+mask of copy j in row i is the full rows of i's neighbours or j's mask
+shifted into row i, and products are built from these masks. With two
 or more left vertices the product is connected exactly when the left
 factor is (K1 by G2 is G2); it is not commutative in general.
 
@@ -30,29 +32,30 @@ Every finite k1 answer attaches a witness cut built by lifting factor
 cuts into the product. Under a non-complete left factor the value is the
 witness's size, which is what the matching rule gives, once the witness
 checks out on the product; otherwise the answer comes from the
-brute-force oracle, labeled "oracle_fallback" (a k1-only label). The
-check cannot fail when the right factor has an edge. Lift a disconnecting
-cut C of the left factor: each row outside C that C does not strand has
-a neighbour row outside C, so no copy in it is isolated; each stranded
-row keeps the right factor minus its isolated vertices, non-empty and
-isolation-free; and G1 - C is disconnected, so two pieces remain. Only an
-edgeless right factor E_m falls back, and there k1(G1 by E_m) = m k1(G1)
-for every G1, infinite when k1(G1) is. The rows of a k1 cut C of G1 are
-a k1 cut of the product, which they leave as (G1 - C) by E_m.
-Conversely, let S be a k1 cut of the product and R the rows it takes
-whole. Every other row keeps a copy, and two kept copies are adjacent
-exactly when their rows are. So a row isolated in G1 - R would leave an
-isolated copy, and as every piece of G1 - R then has an edge, the kept
-copies of each piece form one piece of the product: G1 - R is
-disconnected and isolates nobody, and |S| >= m |R| >= m k1(G1). A
-minimum S is thus whole rows, and lifting keeps lex order, so the
-product's first k1 cut is the rows of G1's first k1 cut. A verified
-witness proves only that k1 is at most the value, so an overestimate
-goes uncaught. By K2 + 3K1, "cor24" gives 14 for graph6 ``Fi`AO`` and
-"thm23" gives 14 for graph6 ``HNhA@`?``, and both products have a lifted
-k1 cut of 13 vertices. The harness finds no "thm23" discrepancy over
-six-vertex left factors, but it checks only products within its
-PRODUCT_LIMIT.
+brute-force oracle, labeled "oracle_fallback" (a k1-only label). As G1
+by K1 is G1, there the witness is checked on G1 and a fallback reads the
+left factor's scan. The check cannot fail when the right factor has an
+edge. Lift a disconnecting cut C of the left factor: each row outside C
+that C does not strand has a neighbour row outside C, so no copy in it
+is isolated; each stranded row keeps the right factor minus its isolated
+vertices, non-empty and isolation-free; and G1 - C is disconnected, so
+two pieces remain. Only an edgeless right factor E_m falls back, and
+there k1(G1 by E_m) = m k1(G1) for every G1, infinite when k1(G1) is.
+The rows of a k1 cut C of G1 are a k1 cut of the product, which they
+leave as (G1 - C) by E_m. Conversely, let S be a k1 cut of the product
+and R the rows it takes whole. Every other row keeps a copy, and two
+kept copies are adjacent exactly when their rows are. So a row isolated
+in G1 - R would leave an isolated copy, and as every piece of G1 - R
+then has an edge, the kept copies of each piece form one piece of the
+product: G1 - R is disconnected and isolates nobody, and
+|S| >= m |R| >= m k1(G1). A minimum S is thus whole rows, and lifting
+keeps lex order, so the product's first k1 cut is the rows of G1's first
+k1 cut. A verified witness proves only that k1 is at most the value, so
+an overestimate goes uncaught. By K2 + 3K1, "cor24" gives 14 for graph6
+``Fi`AO`` and "thm23" gives 14 for graph6 ``HNhA@`?``, and both products
+have a lifted k1 cut of 13 vertices. The harness finds no "thm23"
+discrepancy over six-vertex left factors, but it checks only products
+within its PRODUCT_LIMIT.
 """
 
 from __future__ import annotations
@@ -110,14 +113,14 @@ class LexK1Result:
 
 
 def lex_product(g1: Graph, g2: Graph) -> Graph:
-    """The lexicographic product, row-major flat ids."""
+    """The lexicographic product, row-major flat ids, built from row masks."""
     if g1.n == 0 or g2.n == 0:
         raise ValueError("product factors must be non-empty")
     m = g2.n
-    right = g2.edges()
-    edges = [(i * m + j, i * m + q) for i in range(g1.n) for j, q in right]
-    edges += [(i * m + j, p * m + q) for i, p in g1.edges() for j in range(m) for q in range(m)]
-    return Graph(g1.n * m, edges)
+    rows = [((1 << m) - 1) << i * m for i in range(g1.n)]
+    # disjoint rows sum to their union; a list, not a generator, sizes the tuple exactly
+    across = [sum(rows[p] for p in _bits_to_tuple(nbrs)) for nbrs in g1.adj_bits]
+    return Graph._from_adj_bits(tuple([x | b << i * m for i, x in enumerate(across) for b in g2.adj_bits]))
 
 
 def lift_min_cut(cut, m: int) -> tuple[int, ...]:
@@ -146,14 +149,19 @@ def lift_k1_cut(g1: Graph, g2: Graph, cut) -> tuple[int, ...]:
     cut = vertex_set(cut, n=g1.n)
     if not is_vertex_cut(g1, cut):
         raise ValueError("lift_k1_cut requires a vertex cut of the left factor")
+    return _lift(g1, g2, cut)
+
+
+def _lift(g1: Graph, g2: Graph, cut: tuple[int, ...]) -> tuple[int, ...]:
+    """``lift_k1_cut`` of a vertex cut of ``g1`` on row masks, unchecked."""
     m = g2.n
     cut_mask = sum(1 << x for x in cut)
     isolated_mask = sum(1 << j for j in isolated_vertices(g2))
     lifted = 0
-    for x in range(g1.n):
+    for x, nbrs in enumerate(g1.adj_bits):
         if cut_mask >> x & 1:
             lifted |= ((1 << m) - 1) << x * m
-        elif not g1.adj_bits[x] & ~cut_mask:
+        elif not nbrs & ~cut_mask:
             lifted |= isolated_mask << x * m
     return _bits_to_tuple(lifted)
 
@@ -216,7 +224,8 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     lift_k1_cut of a minimum k1 cut, when there is one, and of an optimal
     minimum cut; its size is the matching rule's value. It must check out
     as a k1 cut of the product, as it does whenever the right factor has
-    an edge; otherwise the product is scanned by brute force.
+    an edge; otherwise the product is scanned by brute force, except
+    G1 by K1, which is G1 and reuses the left scan.
     """
     if g1.n == 0 or g2.n == 0:
         raise ValueError("product factors must be non-empty")
@@ -231,11 +240,11 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     left = scan_cuts(g1)
     # a k1 cut strands no row, so its lift is its rows; min keeps the
     # first of equal lengths, so a tie goes to the rows
-    witness = min((lift_k1_cut(g1, g2, c) for c in (left.k1_cut, left.optimal_cut) if c is not None), key=len)
-    product = lex_product(g1, g2)
+    witness = min((_lift(g1, g2, c) for c in (left.k1_cut, left.optimal_cut) if c is not None), key=len)
+    product = g1 if m == 1 else lex_product(g1, g2)
     if is_k1_vertex_cut(product, witness):
         return LexK1Result(value=ExtendedNat(len(witness)), branch=_k1_branch(left), witness=witness)
-    scan = scan_cuts(product)
+    scan = left if m == 1 else scan_cuts(product)
     return LexK1Result(value=scan.k1, branch="oracle_fallback", witness=scan.k1_cut)
 
 

@@ -122,6 +122,14 @@ class TestGraph:
     def test_edges_sorted(self):
         assert cycle_graph(3).edges() == [(0, 1), (0, 2), (1, 2)]
 
+    @given(graphs())
+    def test_adjacency_constructor_equals_and_hashes_like_the_edge_list_one(self, g):
+        built = Graph._from_adj_bits(tuple(g.adj_bits))
+        assert built == Graph(g.n, g.edges())
+        assert hash(built) == hash(Graph(g.n, g.edges()))
+        assert (built.n, built.adj_bits, built.edges()) == (g.n, g.adj_bits, g.edges())
+        assert Graph._from_adj_bits(()) == Graph(0)
+
     @given(
         st.integers(2, 9).flatmap(
             lambda n: st.tuples(
@@ -215,6 +223,17 @@ def test_components_match_reachability_on_every_small_labeled_graph():
         for g in enumerate_labeled_graphs(n):
             expected = [tuple(sorted(c)) for c in components_without(adjacency(g), set())]
             assert connected_components(g) == expected, g.edges()
+
+
+def test_one_flood_agrees_with_the_components_on_every_small_labeled_graph():
+    checked = 0
+    for n in range(1, 7):
+        for g in enumerate_labeled_graphs(n):
+            assert is_connected(g) == (len(connected_components(g)) == 1), g.edges()
+            checked += 1
+    assert checked == 33867
+    with pytest.raises(ValueError):
+        is_connected(empty_graph(0))
 
 
 @given(graphs())

@@ -101,6 +101,20 @@ class TestLexProduct:
                 expected = brute_product_adjacent(g1, g2, divmod(v, g2.n), divmod(w, g2.n))
                 assert product.has_edge(v, w) == expected
 
+    def test_row_masks_equal_the_edge_list_definition(self):
+        # every labeled pair with n1 <= 4 and m <= 3
+        checked = 0
+        for n1, m in itertools.product(range(1, 5), range(1, 4)):
+            for g1 in enumerate_labeled_graphs(n1):
+                for g2 in enumerate_labeled_graphs(m):
+                    edges = [(i * m + j, i * m + q) for i in range(n1) for j, q in g2.edges()]
+                    edges += [(i * m + j, p * m + q) for i, p in g1.edges() for j in range(m) for q in range(m)]
+                    product = lex_product(g1, g2)
+                    assert product.adj_bits == Graph(n1 * m, edges).adj_bits, (g1.edges(), g2.edges())
+                    assert product == Graph(n1 * m, edges) and product.n == n1 * m
+                    checked += 1
+        assert checked == (1 + 2 + 8 + 64) * (1 + 2 + 8)
+
     @given(graphs())
     def test_right_unit(self, g):
         assert lex_product(g, complete_graph(1)) == g
@@ -154,6 +168,8 @@ class TestLiftMinCut:
                 lifted = lift_min_cut(combo, g2.n)
                 assert len(lifted) == len(combo) * g2.n
                 assert is_vertex_cut(product, lifted)
+                # the public lift validates, then runs the one mask lift
+                assert lift_k1_cut(g1, g2, combo) == lexiconn.lexprod._lift(g1, g2, combo)
 
 
 class TestLiftK1Cut:
@@ -264,6 +280,45 @@ class TestLexK1Connectivity:
         assert result.branch == "oracle_fallback"
         assert result.value == INFINITY
         assert result.witness is None
+
+    def test_one_vertex_right_factor_reads_the_left_scan(self, monkeypatch):
+        # g1 by K1 is g1: one scan of g1, and no product is built
+        scanned = []
+        real_scan = lexiconn.lexprod.scan_cuts
+
+        def counting_scan(g):
+            scanned.append(g)
+            return real_scan(g)
+
+        def refuse(*args):
+            raise AssertionError("no product may be built")
+
+        monkeypatch.setattr(lexiconn.lexprod, "scan_cuts", counting_scan)
+        monkeypatch.setattr(lexiconn.lexprod, "lex_product", refuse)
+        for g1, branch in ((path_graph(4), "oracle_fallback"), (mid_branch_fixture(), "thm23")):
+            scanned.clear()
+            assert lex_k1_connectivity(g1, complete_graph(1)).branch == branch
+            assert scanned == [g1]
+
+    def test_one_vertex_right_factor_equals_the_product_path(self):
+        # the general path lifts, checks the lift on the built product and
+        # scans that product when the check fails; by K1 it must agree
+        k1 = complete_graph(1)
+        branches = []
+        for g1 in (g for n1 in range(1, 6) for g in class_members(n1, connected=True)):
+            if is_complete(g1):
+                continue
+            left, product = scan_cuts(g1), lex_product(g1, k1)
+            cuts = (c for c in (left.k1_cut, left.optimal_cut) if c is not None)
+            witness = min((lift_k1_cut(g1, k1, c) for c in cuts), key=len)
+            if is_k1_vertex_cut(product, witness):
+                expected = LexK1Result(ExtendedNat(len(witness)), lexiconn.lexprod._k1_branch(left), witness)
+            else:
+                scan = scan_cuts(product)
+                expected = LexK1Result(scan.k1, "oracle_fallback", scan.k1_cut)
+            assert lex_k1_connectivity(g1, k1) == expected, g1.edges()
+            branches.append(expected.branch)
+        assert (len(branches), branches.count("oracle_fallback")) == (26, 23)
 
     def test_edgeless_right_factor_falls_back(self):
         """With an edgeless right factor, any isolation-free product cut
