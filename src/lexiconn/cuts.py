@@ -16,11 +16,14 @@ exists. A graph is super connected when every minimum vertex cut isolates
 some vertex.
 
 Every oracle and predicate here runs on one private kernel,
-``_vertex_cuts``, which holds the module's only flood fill. The rule is
-"enumerate by size then lex, first hit wins": subsets are visited by
-size, then in lexicographic order, so the first hit is a minimum and
-every result is reproducible. Every minimum-cut query reads
-``_min_cuts``, which ends with the first size that has a cut.
+``_vertex_cuts``, which holds the module's only flood fill; the flood
+stops once it has reached every remaining vertex. The rule is "enumerate
+by size then lex, first hit wins": subsets are visited by size, then in
+lexicographic order, so the first hit is a minimum and every result is
+reproducible. Every minimum-cut query reads ``_min_cuts``, which ends
+with the first size that has a cut and starts at 2 delta - n + 2 (at
+most n - 1), as fewer removed vertices never disconnect a graph of least
+degree delta (Chartrand and Harary, 1968).
 ``scan_cuts`` is the per-graph record: one call gives kappa and the first
 minimum cut, k1 and the first k1 cut, and the first minimum cut leaving
 the fewest isolated vertices with that count. It and
@@ -50,7 +53,7 @@ from functools import partial
 from itertools import chain, combinations
 from typing import Iterator
 
-from .graphs import INFINITY, ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected, vertex_set
+from .graphs import INFINITY, ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected, min_degree, vertex_set
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,9 @@ def _vertex_cuts(g: Graph, subsets) -> Iterator[tuple[tuple[int, ...], int, bool
     For each subset, in the order given, whose removal is a vertex cut of
     ``g``, yields (subset, remaining mask, disconnects); a cut that does
     not disconnect leaves exactly one vertex. Removing every vertex is not
-    a cut and is never yielded.
+    a cut and is never yielded. The flood from the lowest remaining vertex
+    stops as soon as ``left``, the remaining vertices not yet reached, is
+    empty, without walking the vertices still queued in ``frontier``.
     """
     bits = g.adj_bits
     full = (1 << g.n) - 1
@@ -131,17 +136,15 @@ def _vertex_cuts(g: Graph, subsets) -> Iterator[tuple[tuple[int, ...], int, bool
         rem = full ^ removed
         if not rem:
             continue
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            reach = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                reach |= bits[b.bit_length() - 1]
-            frontier = reach & rem & ~comp
-            comp |= frontier
-        if comp != rem:
+        frontier = rem & -rem
+        left = rem ^ frontier
+        while frontier and left:
+            v = frontier.bit_length() - 1
+            frontier ^= 1 << v
+            reach = bits[v] & left
+            left ^= reach
+            frontier |= reach
+        if left:
             yield subset, rem, True
         elif rem & (rem - 1) == 0:
             yield subset, rem, False
@@ -235,8 +238,16 @@ def _twin_subsets(g: Graph):
 
 def _min_cuts(g: Graph, subsets) -> Iterator[tuple[tuple[int, ...], int, bool]]:
     """The kernel's yields for the cuts that ``subsets`` draws of the first
-    size that has any (n - 1 always does); no larger size is drawn."""
-    for size in range(g.n):
+    size that has any (n - 1 always does); no larger size is drawn, and no
+    size below min(2 delta - n + 2, n - 1), with delta the least degree.
+
+    Proof of that start: removing s < min(2 delta - n + 2, n - 1) vertices
+    leaves two or more, and any two non-adjacent ones keep delta - s
+    neighbours each among the n - s - 2 others; 2 (delta - s) exceeds that,
+    so they share one. What is left is connected and not one vertex.
+    """
+    delta = min_degree(g) if g.n else 0
+    for size in range(max(0, min(2 * delta - g.n + 2, g.n - 1)), g.n):
         cuts = _vertex_cuts(g, subsets(size))
         first = next(cuts, None)
         if first is not None:

@@ -83,7 +83,7 @@ from .graphs import (
 READINGS = ("min_cuts_only", "all_cuts")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexK1Result:
     """k1 connectivity of a product, with provenance.
 

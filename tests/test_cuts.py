@@ -1,16 +1,18 @@
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    adjacency,
     brute_is_cut,
     brute_is_super,
     brute_k1,
     brute_kappa,
     brute_least_isolating,
     brute_optimal_min_cut,
+    components_without,
     graph_from_mask,
 )
 from lexiconn import (
@@ -31,13 +33,14 @@ from lexiconn import (
     is_super_connected,
     is_vertex_cut,
     k1_connectivity,
+    lex_product,
     path_graph,
     scan_cuts,
     star_graph,
     vertex_connectivity,
     vertex_connectivity_oracle,
 )
-from lexiconn.cuts import _twin_scan, _twin_subsets
+from lexiconn.cuts import _twin_scan, _twin_subsets, _vertex_cuts
 
 
 def graphs(max_n=7, min_n=1):
@@ -48,6 +51,70 @@ def graphs(max_n=7, min_n=1):
 
 def connected_graphs(max_n=7, min_n=2):
     return graphs(max_n=max_n, min_n=min_n).filter(is_connected)
+
+
+def brute_kernel_yield(g, subset):
+    """What the kernel should yield for ``subset``: (subset, remaining mask,
+    more than one component) when it is a cut, else None."""
+    if not brute_is_cut(g, subset):
+        return None
+    rem = sum(1 << v for v in range(g.n) if v not in subset)
+    return subset, rem, len(components_without(adjacency(g), set(subset))) > 1
+
+
+def degree_bound(g):
+    """min(2 delta - n + 2, n - 1), floored at 0: no smaller subset cuts."""
+    delta = min((g.degree(v) for v in range(g.n)), default=0)
+    return max(0, min(2 * delta - g.n + 2, g.n - 1))
+
+
+class TestKernel:
+    """``_vertex_cuts`` against the independent dict-of-sets flood."""
+
+    def test_every_subset_of_every_small_graph(self):
+        for n in range(1, 6):
+            subsets = list(chain.from_iterable(combinations(range(n), k) for k in range(n + 1)))
+            for g in enumerate_labeled_graphs(n):
+                expected = [hit for s in subsets if (hit := brute_kernel_yield(g, s)) is not None]
+                assert list(_vertex_cuts(g, subsets)) == expected, g.edges()
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(max_n=16), st.data())
+    def test_random_subsets_up_to_16_vertices(self, g, data):
+        subset = tuple(sorted(data.draw(st.sets(st.integers(0, g.n - 1)))))
+        hit = brute_kernel_yield(g, subset)
+        assert list(_vertex_cuts(g, (subset,))) == ([hit] if hit is not None else [])
+
+
+class TestDegreeBound:
+    """The minimum-cut walk starts at min(2 delta - n + 2, n - 1)."""
+
+    def test_no_subset_below_the_bound_cuts_a_small_graph(self):
+        for n in range(1, 7):
+            for g in enumerate_labeled_graphs(n):
+                for size in range(degree_bound(g)):
+                    for s in combinations(range(n), size):
+                        assert not brute_is_cut(g, s), (g.edges(), s)
+
+    def test_dense_product_walk_starts_at_the_bound(self, monkeypatch):
+        import lexiconn.cuts
+
+        kernel = lexiconn.cuts._vertex_cuts
+        drawn = []
+
+        def recording(g, subsets):
+            def record():
+                for subset in subsets:
+                    drawn.append(len(subset))
+                    yield subset
+
+            return kernel(g, record())
+
+        monkeypatch.setattr(lexiconn.cuts, "_vertex_cuts", recording)
+        # K5 by 2K2: 20 vertices of degree 17, so the walk starts at size 16 = kappa
+        product = lex_product(complete_graph(5), disjoint_union(complete_graph(2), complete_graph(2)))
+        assert not is_super_connected(product)
+        assert drawn and min(drawn) == 16
 
 
 class TestIsVertexCut:

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import tracemalloc
 from random import Random
 
@@ -411,6 +413,20 @@ class TestLexK1Connectivity:
         fallback = lex_k1_connectivity(path_graph(4), complete_graph(1))
         assert fallback.to_json()["value"] == "infinity"
         assert LexK1Result.from_json(fallback.to_json()) == fallback
+
+    def test_slotted_result_round_trips(self):
+        # the benchmark keeps every pass's results, so each one stays small
+        for result in (
+            lex_k1_connectivity(path_graph(6), path_graph(3)),
+            lex_k1_connectivity(path_graph(4), complete_graph(1)),
+        ):
+            assert not hasattr(result, "__dict__")
+            for copy in (
+                LexK1Result.from_json(result.to_json()),
+                pickle.loads(pickle.dumps(result)),
+                dataclasses.replace(result),
+            ):
+                assert copy == result and hash(copy) == hash(result)
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(max_n=4, min_n=2), graphs(max_n=3))
