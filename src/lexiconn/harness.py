@@ -4,20 +4,17 @@ The harness treats every closed-form rule as a hypothesis under test: for
 each (left, right) factor pair in an instance family that satisfies the
 rule's stated hypotheses, it computes the closed-form value through the
 fast path and the true value through the brute-force cut oracles on the
-constructed product, and tallies agreement. A rule's hypotheses are
-lexprod's own dispatch: a pair is checked against a rule exactly when
-lexprod's branch for it is that rule. Every disagreement is frozen
+constructed product, and tallies agreement. Every disagreement is frozen
 into a self-contained DiscrepancyCertificate (the factors travel as
 graph6 strings); disagreements are data, not errors. One function
 decides each pair, so validating a certificate re-derives it from its
 factors and compares, rather than rechecking it field by field.
 
-Rule identifiers: "thm21" (product connectivity, non-complete left
-factor), "thm21_complete" (complete left factor), "thm22" / "thm23" /
-"cor24" (the three k1 branches), and "super_part1" / "super_part2" /
-"super_part3" (the super-connectivity split). The k1 rules accept a
-``reading`` toggle choosing how the isolation count in the formula is
-quantified, because the two natural readings genuinely differ.
+The rules are one table, _RULES, from rule id to the product invariant
+it predicts ("kappa", "k1" or "super") and the branch label lexprod
+gives the pairs it covers: a pair is checked exactly when lexprod's
+branch for the rule's invariant is the rule's label. Only the k1 rules
+read ``reading``, which picks one of two readings of the isolation count.
 
 Cut scans are memoized for the life of the process, keyed by the
 isomorphism classes of the factors, because the reports of a sweep share
@@ -27,9 +24,9 @@ subsets taking a prefix of each twin class and returns scan_cuts' exact
 CutScan. Its cuts belong to that labeling, so only its class invariants
 are read: kappa, k1, the fewest isolated vertices over minimum cuts and
 super connectivity. A factor that is disconnected or complete is
-recorded without a scan, so the hypotheses need no graph search per
-pair. A discrepancy's witness is walked on its own labeled product, over
-the same twin-prefix subsets, so reports do not depend on the memo.
+recorded without a scan, and no rule reads a right factor's own scan.
+A discrepancy's witness is walked on its own labeled product, over the
+same twin-prefix subsets, so reports do not depend on the memo.
 
 Within one verify_theorem call, the verdict on a pair (skipped, agreed,
 or the discrepancy's values and witness size) is kept per pair of
@@ -63,19 +60,17 @@ from .graphs import ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connecte
 from .io import parse_graph6, serialize_graph6
 from .lexprod import READINGS, _k1_branch, _k1_rule, _kappa_rule, _super_branch, lex_product
 
-THEOREM_IDS = (
-    "thm21",
-    "thm21_complete",
-    "thm22",
-    "thm23",
-    "cor24",
-    "super_part1",
-    "super_part2",
-    "super_part3",
-)
-
-_KAPPA_IDS = ("thm21", "thm21_complete")
-_K1_IDS = ("thm22", "thm23", "cor24")
+_RULES = {
+    "thm21": ("kappa", "thm21"),
+    "thm21_complete": ("kappa", "complete_left"),
+    "thm22": ("k1", "thm22"),
+    "thm23": ("k1", "thm23"),
+    "cor24": ("k1", "cor24"),
+    "super_part1": ("super", "part1"),
+    "super_part2": ("super", "part2"),
+    "super_part3": ("super", "part3"),
+}
+THEOREM_IDS = tuple(_RULES)
 
 ENUMERATION_LIMIT = 6  # all labeled graphs on up to this many vertices
 PRODUCT_LIMIT = 24  # largest product the oracles are asked to sweep
@@ -318,21 +313,26 @@ def _scan(g1: Graph, g2: Graph | None = None) -> CutScan | None:
 
 def _formula(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     """The rule's value on (g1, g2), or None when the pair fails the rule's
-    hypotheses, which are lexprod's own dispatch on the factors."""
-    if theorem_id == "thm21_complete":
-        return ExtendedNat(_kappa_rule(g1.n, g1.n - 1, g2)) if is_complete(g1) else None
-    # every other rule takes a connected non-complete left factor
-    left = _scan(g1)
-    if left is None:
+    hypotheses: a disconnected left factor, or lexprod's branch for the
+    rule's invariant is not the rule's label."""
+    invariant, label = _RULES[theorem_id]
+    # a complete g1 is complete_left under every invariant, and its memo entry is None
+    if label == "complete_left":
+        branch = label if is_complete(g1) else None
+    elif (left := _scan(g1)) is None:
         return None
-    if theorem_id == "thm21":
-        return ExtendedNat(_kappa_rule(g1.n, left.kappa, g2))
-    if theorem_id in _K1_IDS:
-        return _k1_rule(left, g2, reading) if _k1_branch(left) == theorem_id else None
-    right_connected = is_complete(g2) or _scan(g2) is not None
-    if _super_branch(g2, right_connected, left.super_connected) != theorem_id[len("super_"):]:
+    elif invariant == "kappa":
+        branch = "thm21"
+    elif invariant == "k1":
+        branch = _k1_branch(left)
+    else:
+        branch = _super_branch(g2, left.super_connected)
+    if branch != label:
         return None
-    return theorem_id == "super_part3"
+    if invariant == "kappa":
+        return ExtendedNat(_kappa_rule(g1.n, g1.n - 1 if branch == "complete_left" else left.kappa, g2))
+    # of the super branches, only part3 predicts a super connected product
+    return _k1_rule(left, g2, reading) if invariant == "k1" else branch == "part3"
 
 
 def _verdict(theorem_id: str, g1: Graph, g2: Graph, reading: str):
@@ -347,16 +347,15 @@ def _verdict(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     formula = _formula(theorem_id, g1, g2, reading)
     if formula is None:
         return None
-    pscan = _scan(g1, g2)
-    if theorem_id in _KAPPA_IDS:
+    pscan, invariant = _scan(g1, g2), _RULES[theorem_id][0]
+    if invariant == "kappa":
         oracle, k1_witness = ExtendedNat(pscan.kappa), False
-    elif theorem_id in _K1_IDS:
+    elif invariant == "k1":
         oracle, k1_witness = pscan.k1, True
     else:
         # the hypotheses make the product connected and non-complete, where
         # a minimum cut isolating nobody is the first k1 cut
-        oracle = pscan.super_connected
-        k1_witness = not oracle
+        oracle, k1_witness = pscan.super_connected, not pscan.super_connected
     if formula == oracle:
         return True
     if k1_witness and not pscan.k1.is_finite:

@@ -248,12 +248,12 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     return LexK1Result(value=scan.k1, branch="oracle_fallback", witness=scan.k1_cut)
 
 
-def _super_branch(g2: Graph, right_connected: bool, left_super: bool) -> str:
+def _super_branch(g2: Graph, left_super: bool) -> str:
     """The super rule for a connected non-complete left factor; reads
     ``left_super`` only when ``g2`` has an isolated vertex."""
     if g2.n == 1:
         return "iso_m1"
-    if right_connected:
+    if is_connected(g2):
         return "part1"
     if not isolated_vertices(g2):
         return "part2"
@@ -280,4 +280,4 @@ def lex_super_connected(g1: Graph, g2: Graph) -> tuple[bool, str]:
         return verdict, "complete_left"
     # the left factor's minimum-cut walk runs only when the verdict can be True
     verdict = bool(isolated_vertices(g2)) and is_super_connected(g1)
-    return verdict, _super_branch(g2, is_connected(g2), verdict)
+    return verdict, _super_branch(g2, verdict)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from lexiconn import is_super_connected, parse_graph6, random_graph, serialize_graph6
+from lexiconn import THEOREM_IDS, is_super_connected, parse_graph6, random_graph, serialize_graph6
 from lexiconn.cli import EX_DISCREPANCY, EX_INPUT, EX_OK, EX_USAGE, main
 from lexiconn.families import complete_graph, cycle_graph
 
@@ -248,6 +248,17 @@ class TestVerify:
         )
         assert code == EX_OK
         assert json.loads(out)["reading"] == "all_cuts"
+
+    def test_every_rule_id_runs_with_its_exit_code(self, capsys):
+        # the workflow's console-script smoke step expects these codes, and
+        # --theorem lists the ids in this order
+        expected = dict.fromkeys(THEOREM_IDS, EX_OK) | {"cor24": EX_DISCREPANCY}
+        assert tuple(expected) == (
+            "thm21", "thm21_complete", "thm22", "thm23", "cor24", "super_part1", "super_part2", "super_part3",
+        )
+        for theorem_id, code in expected.items():
+            argv = ("verify", "--theorem", theorem_id, "--n1-max", "3", "--n2-max", "2", "--quiet")
+            assert run_cli(capsys, *argv)[0] == code, theorem_id
 
     def test_unknown_theorem_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--theorem", "bogus")

@@ -17,9 +17,14 @@ from lexiconn import (
     cut_certificate,
     empty_graph,
     enumerate_labeled_graphs,
+    is_complete,
+    is_connected,
     is_k1_vertex_cut,
+    lex_k1_connectivity,
     lex_product,
+    lex_super_connected,
     parse_graph6,
+    path_graph,
     random_graph,
     scan_cuts,
     serialize_graph6,
@@ -594,3 +599,69 @@ class TestCertificateFormulaSide:
     def test_empty_factor_rejected(self, cert):
         assert not validate_certificate(dataclasses.replace(cert, g1="?"))
 
+
+def _lexprod_branch(invariant, g1, g2):
+    """lexprod's branch for the pair under one invariant, None for a
+    disconnected left factor. lex_connectivity reports no branch, so its
+    two cases take the non-complete rule's name and the label the other
+    invariants give a complete left factor."""
+    if not is_connected(g1):
+        return None
+    if invariant == "kappa":
+        return "complete_left" if is_complete(g1) else "thm21"
+    if invariant == "k1":
+        return lex_k1_connectivity(g1, g2).branch
+    return lex_super_connected(g1, g2)[1]
+
+
+class TestRuleTable:
+    """Labels are compared as strings, so a mistyped one would skip every
+    pair of its rule and still write a clean report."""
+
+    def test_a_pair_is_checked_exactly_when_lexprods_branch_is_the_rule_label(self):
+        # no left factor on four vertices has a k1 cut of its connectivity's
+        # size. P5's middle vertex is one, the thm22 branch. The hub 0 of the
+        # six-vertex graph isolates its pendant 1, and its k1 cut {2, 3} is
+        # larger: the thm23 branch.
+        mid = Graph(6, [(0, 1), (0, 2), (0, 3), (2, 4), (3, 5), (4, 5)])
+        family = InstanceFamily(4, 3)
+        rights = [g2 for g1, g2 in family.instances() if g1.n == 1]
+        pairs = list(family.instances()) + [(g1, g2) for g1 in (path_graph(5), mid) for g2 in rights]
+        # the part2 branch needs a right factor like 2K2: disconnected, no isolated vertex
+        pairs += InstanceFamily(3, 4).instances()
+        branches = {invariant: set() for invariant, _ in lexiconn.harness._RULES.values()}
+        for g1, g2 in pairs:
+            for theorem_id, (invariant, label) in lexiconn.harness._RULES.items():
+                branch = _lexprod_branch(invariant, g1, g2)
+                branches[invariant].add(branch)
+                # a fallback answer does not name the rule whose witness failed
+                if branch != "oracle_fallback":
+                    checked = lexiconn.harness._formula(theorem_id, g1, g2, "min_cuts_only") is not None
+                    assert checked == (branch == label), (theorem_id, g1.edges(), g2.edges())
+        for invariant, label in lexiconn.harness._RULES.values():
+            assert label in branches[invariant], label
+
+    def test_every_rule_checks_some_pair(self):
+        families = {theorem_id: (InstanceFamily(4, 3), InstanceFamily(3, 4)) for theorem_id in THEOREM_IDS}
+        # thm22 needs a left factor on five vertices; thm23 needs six, and
+        # test_mid_branch_rule_holds_on_six_vertex_left_factors pins it at 40590 pairs
+        families["thm22"] = (InstanceFamily(5, 2),)
+        del families["thm23"]
+        for theorem_id, candidates in families.items():
+            assert any(verify_theorem(theorem_id, f).instances_checked for f in candidates), theorem_id
+
+    def test_only_the_k1_rules_read_the_reading(self):
+        def without_reading(report):
+            obj = report.to_json(include_wall_time=False)
+            del obj["reading"]
+            for cert in obj["discrepancies"]:
+                del cert["reading"]
+            return obj
+
+        family = InstanceFamily(4, 3)
+        others = [t for t, (invariant, _) in lexiconn.harness._RULES.items() if invariant != "k1"]
+        assert others == ["thm21", "thm21_complete", "super_part1", "super_part2", "super_part3"]
+        for theorem_id in others:
+            default, other = (verify_theorem(theorem_id, family, reading) for reading in READINGS)
+            assert (default.reading, other.reading) == READINGS
+            assert without_reading(default) == without_reading(other), theorem_id
