@@ -113,9 +113,11 @@ class _InputError(Exception):
 
 def _cmd_compute(args) -> int:
     names = [s.strip() for s in args.invariants.split(",") if s.strip()]
-    for name in names:
+    for k, name in enumerate(names):
         if name not in INVARIANT_NAMES:
             raise _UsageError(f"unknown invariant {name!r}; expected a subset of {', '.join(INVARIANT_NAMES)}")
+        if name in names[:k]:
+            raise _UsageError(f"invariant {name!r} is requested twice")
     if not names:
         raise _UsageError("no invariants requested")
     g = _load(args.graph, args.format_in)

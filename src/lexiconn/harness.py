@@ -16,7 +16,7 @@ gives the pairs it covers: a pair is checked exactly when lexprod's
 branch for the rule's invariant is the rule's label. Only the k1 rules
 read ``reading``, which picks one of two readings of the isolation count.
 
-Cut scans are memoized for the life of the process, keyed by the
+Each InstanceFamily memoizes cut scans while it lives, keyed by the
 isomorphism classes of the factors, because the reports of a sweep share
 their products up to relabeling; a hit builds nothing. A memo entry is
 cuts._twin_scan of the first labeling visited, which walks only the
@@ -39,11 +39,12 @@ factor serialized to graph6 once per call.
 
 A graph on n <= ENUMERATION_LIMIT vertices is keyed by n and the least
 edge mask, in enumerate_labeled_graphs' bit order, over its relabelings.
-The first miss for n keys all labeled graphs on n vertices at once, by
-marking each class's orbit from its least mask; it builds each mask's
-adjacency from a smaller mask's, not a Graph. A larger graph is keyed by
-its labeled adjacency, uncached: that loses sharing between relabelings
-but never merges two classes.
+One table per n, built on first use and kept for the process, lists
+every labeled graph on n vertices in mask order with its key, and
+enumerate_labeled_graphs reads its graphs from it. It builds each mask's
+adjacency from a smaller mask's and marks each class's orbit from its
+least mask. A larger graph is keyed by its labeled adjacency: that loses
+sharing between relabelings but never merges two classes.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from random import Random
 from typing import Iterator
 
@@ -80,17 +81,41 @@ def _edge_slots(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs on n vertices, edge-bitmask order.
+@cache
+def _class_table(n: int) -> dict[tuple[int, ...], tuple]:
+    """Every labeled graph on n vertices, as its adjacency in edge-mask order,
+    mapped to its class key; built once per process and never changed."""
+    slots = _edge_slots(n)
+    bit_of = {pair: 1 << k for k, pair in enumerate(slots)}
+    # relabeling p moves the edge in slot (i, j) to the slot of {p[i], p[j]}
+    relabelings = [
+        [bit_of[min(p[i], p[j]), max(p[i], p[j])] for i, j in slots] for p in itertools.permutations(range(n))
+    ]
+    # adjacency[mask | 1 << k] is adjacency[mask] plus slot k, for mask < 1 << k
+    adjacency = [(0,) * n]
+    for k, (i, j) in enumerate(slots):
+        for bits in adjacency[: 1 << k]:
+            row = list(bits)
+            row[i] |= 1 << j
+            row[j] |= 1 << i
+            adjacency.append(tuple(row))
+    # in ascending mask order, the first unkeyed mask is its class's least and keys its whole orbit
+    keys: list[tuple | None] = [None] * len(adjacency)
+    for mask in range(len(keys)):
+        if keys[mask] is None:
+            key, edges = (n, mask), _bits_to_tuple(mask)
+            for image_of in relabelings:
+                keys[sum(map(image_of.__getitem__, edges))] = key
+    return dict(zip(adjacency, keys))
 
-    Bit k of the mask is the k-th pair in lexicographic order (0,1),
-    (0,2), ..., (n-2,n-1).
-    """
+
+def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
+    """All 2^C(n,2) labeled graphs on n vertices, read from n's class table
+    in edge-mask order: bit k of the mask is the k-th pair in lexicographic
+    order (0,1), (0,2), ..., (n-2,n-1)."""
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"exhaustive enumeration is budgeted for 1..{ENUMERATION_LIMIT} vertices, got {n}")
-    slots = _edge_slots(n)
-    for mask in range(1 << len(slots)):
-        yield Graph(n, [slots[k] for k in range(len(slots)) if mask >> k & 1])
+    yield from map(Graph._from_adj_bits, _class_table(n))
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -116,12 +141,14 @@ class InstanceFamily:
     same stream. Either way n1_max * n2_max is capped so the product
     oracles stay tractable.
 
-    An exhaustive family builds its labeled graphs on its first walk and
-    keeps them for its lifetime, one tuple per size shared by both sides,
-    so every walk hands out the same Graph objects. That holds about 4.8 MB
-    for InstanceFamily(6, 4), the order of the 4 MB class-key table for
-    six vertices. The tuples are not a field: ==, hash and repr see only
-    the parameters.
+    A family keeps, for its lifetime, the scan memo of its reports and,
+    when exhaustive, its labeled graphs: one tuple per size shared by both
+    sides, so every walk hands out the same Graph objects. Those share
+    their adjacency with the process-wide class tables (4.3 MB for n <= 6)
+    and take 1.9 MB more for InstanceFamily(6, 4), by tracemalloc; a thm22
+    report over it leaves a memo of 784 scans, about 0.1 MB. Neither is a
+    field: ==, hash and repr see only the parameters, and a new family
+    starts with an empty memo even when it equals an old one.
     """
 
     n1_max: int
@@ -145,6 +172,11 @@ class InstanceFamily:
                 raise ValueError("sample_count must be positive")
             if not 0 <= self.edge_probability <= 1:
                 raise ValueError("edge_probability must lie in [0, 1]")
+
+    @cached_property
+    def _scans(self) -> dict[tuple[tuple, tuple | None], CutScan | None]:
+        """The scan memo of this family's reports (see _scan)."""
+        return {}
 
     @cached_property
     def _labeled(self) -> tuple[tuple[Graph, ...], ...]:
@@ -253,65 +285,28 @@ class VerificationReport:
         return json.dumps(self.to_json(include_wall_time=False), separators=(",", ":"))
 
 
-_CLASS_KEYS: dict[tuple[int, ...], tuple] = {}
-_SCANS: dict[tuple[tuple, tuple | None], CutScan] = {}
-
-
-def clear_caches() -> None:
-    _CLASS_KEYS.clear()
-    _SCANS.clear()
-
-
 def _class_key(g: Graph) -> tuple:
     """(n, the least edge mask of ``g``'s isomorphism class) for n up to
-    ENUMERATION_LIMIT, else ("labeled", ``g``'s adjacency), uncached."""
-    key = _CLASS_KEYS.get(g.adj_bits)
-    if key is not None:
-        return key
-    if g.n > ENUMERATION_LIMIT:
-        return ("labeled", g.adj_bits)
-    # key every labeled graph on n vertices: in ascending mask order, the
-    # first unkeyed mask is its class's least and keys its whole orbit
-    slots = _edge_slots(g.n)
-    bit_of = {pair: 1 << k for k, pair in enumerate(slots)}
-    # relabeling p moves the edge in slot (i, j) to the slot of {p[i], p[j]}
-    relabelings = [
-        [bit_of[min(p[i], p[j]), max(p[i], p[j])] for i, j in slots] for p in itertools.permutations(range(g.n))
-    ]
-    # adjacency[mask | 1 << k] is adjacency[mask] plus slot k, for mask < 1 << k
-    adjacency = [(0,) * g.n]
-    for k, (i, j) in enumerate(slots):
-        for bits in adjacency[: 1 << k]:
-            row = list(bits)
-            row[i] |= 1 << j
-            row[j] |= 1 << i
-            adjacency.append(tuple(row))
-    keys: list[tuple | None] = [None] * (1 << len(slots))
-    for mask, bits in enumerate(adjacency):
-        if keys[mask] is None:
-            key, edges = (g.n, mask), _bits_to_tuple(mask)
-            for image_of in relabelings:
-                keys[sum(map(image_of.__getitem__, edges))] = key
-        _CLASS_KEYS[bits] = keys[mask]
-    return _CLASS_KEYS[g.adj_bits]
+    ENUMERATION_LIMIT, else ("labeled", ``g``'s adjacency)."""
+    return _class_table(g.n)[g.adj_bits] if g.n <= ENUMERATION_LIMIT else ("labeled", g.adj_bits)
 
 
-def _scan(g1: Graph, g2: Graph | None = None) -> CutScan | None:
-    """The memoized scan of ``g1``'s class, or of its product with ``g2``'s;
+def _scan(scans: dict, g1: Graph, g2: Graph | None = None) -> CutScan | None:
+    """The scan in ``scans`` of ``g1``'s class, or of its product with ``g2``'s;
     its cuts are those of the first labeling visited, so only its
     invariant fields are read. A factor that is disconnected or complete
     maps to None: no rule reads its scan, which can walk a number of
     subsets exponential in its size."""
     key = (_class_key(g1), _class_key(g2) if g2 is not None else None)
-    if key not in _SCANS:
+    if key not in scans:
         if g2 is not None:
-            _SCANS[key] = _twin_scan(lex_product(g1, g2))
+            scans[key] = _twin_scan(lex_product(g1, g2))
         else:
-            _SCANS[key] = _twin_scan(g1) if is_connected(g1) and not is_complete(g1) else None
-    return _SCANS[key]
+            scans[key] = _twin_scan(g1) if is_connected(g1) and not is_complete(g1) else None
+    return scans[key]
 
 
-def _formula(theorem_id: str, g1: Graph, g2: Graph, reading: str):
+def _formula(scans: dict, theorem_id: str, g1: Graph, g2: Graph, reading: str):
     """The rule's value on (g1, g2), or None when the pair fails the rule's
     hypotheses: a disconnected left factor, or lexprod's branch for the
     rule's invariant is not the rule's label."""
@@ -319,7 +314,7 @@ def _formula(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     # a complete g1 is complete_left under every invariant, and its memo entry is None
     if label == "complete_left":
         branch = label if is_complete(g1) else None
-    elif (left := _scan(g1)) is None:
+    elif (left := _scan(scans, g1)) is None:
         return None
     elif invariant == "kappa":
         branch = "thm21"
@@ -335,7 +330,7 @@ def _formula(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     return _k1_rule(left, g2, reading) if invariant == "k1" else branch == "part3"
 
 
-def _verdict(theorem_id: str, g1: Graph, g2: Graph, reading: str):
+def _verdict(scans: dict, theorem_id: str, g1: Graph, g2: Graph, reading: str):
     """None when (g1, g2) fails the rule's hypotheses, True when the rule
     and the oracle agree, else the discrepancy's facts (formula value,
     oracle value, witness), where the witness is None when the oracle
@@ -344,10 +339,10 @@ def _verdict(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     Every part is read from the factors' classes, so the verdict holds for
     every relabeling of either factor.
     """
-    formula = _formula(theorem_id, g1, g2, reading)
+    formula = _formula(scans, theorem_id, g1, g2, reading)
     if formula is None:
         return None
-    pscan, invariant = _scan(g1, g2), _RULES[theorem_id][0]
+    pscan, invariant = _scan(scans, g1, g2), _RULES[theorem_id][0]
     if invariant == "kappa":
         oracle, k1_witness = ExtendedNat(pscan.kappa), False
     elif invariant == "k1":
@@ -405,8 +400,8 @@ def _discrepancy(
 
 def _check(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     """None when (g1, g2) fails the rule's hypotheses, True when the rule
-    and the oracle agree, else the pair's DiscrepancyCertificate."""
-    verdict = _verdict(theorem_id, g1, g2, reading)
+    and the oracle agree, else the pair's DiscrepancyCertificate; it scans afresh."""
+    verdict = _verdict({}, theorem_id, g1, g2, reading)
     if verdict is None or verdict is True:
         return verdict
     return _discrepancy(theorem_id, g1, g2, reading, verdict, {})
@@ -446,7 +441,7 @@ def verify_theorem(
         except KeyError:
             key = (left_key, _class_key(g2))
             if key not in verdicts:
-                verdicts[key] = _verdict(theorem_id, g1, g2, reading)
+                verdicts[key] = _verdict(family._scans, theorem_id, g1, g2, reading)
             verdict = row[g2.adj_bits] = verdicts[key]
         if verdict is None:
             skipped += 1
@@ -476,8 +471,8 @@ def validate_certificate(cert: DiscrepancyCertificate) -> bool:
     scan. Otherwise the pair is checked as verify_theorem checks it, and
     the certificate is valid exactly when it equals the one written now:
     the factors in serialize_graph6's spelling, the formula and oracle
-    values, and the witness, flags included. Only the oracle value comes
-    from the class memo (a fresh process rescans the product).
+    values, and the witness, flags included. Every scan is made afresh, so
+    nothing an earlier sweep in the process left behind is read.
     """
     if cert.theorem_id not in THEOREM_IDS or cert.reading not in READINGS:
         return False

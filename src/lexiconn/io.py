@@ -118,6 +118,8 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise GraphParseError("empty graph6 string")
+    if "\n" in s:
+        raise GraphParseError("graph6 text has more than one line; a file holds one graph")
     vals = []
     for ch in s:
         v = ord(ch) - 63

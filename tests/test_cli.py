@@ -136,6 +136,20 @@ class TestCompute:
         assert code == EX_USAGE
         assert "zeta" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "plain", "csv"])
+    def test_repeated_invariant_is_usage_error(self, capsys, c4_file, fmt):
+        # plain and csv would print k twice, json once
+        code, out, err = run_cli(capsys, "compute", c4_file, "--invariants", "k,k", "--format", fmt)
+        assert code == EX_USAGE and out == ""
+        assert "'k' is requested twice" in err
+
+    def test_two_graphs_in_one_graph6_file_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "two.g6"
+        path.write_text("A_\nBw\n")
+        code, _, err = run_cli(capsys, "compute", str(path))
+        assert code == EX_INPUT
+        assert "more than one line" in err
+
     def test_plain_format(self, capsys, star_file):
         code, out, _ = run_cli(capsys, "compute", star_file, "--invariants", "k,k1,v0", "--format", "plain")
         assert code == EX_OK

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import sys
 import time
 
 import pytest
@@ -35,7 +36,7 @@ from lexiconn import (
 import lexiconn.harness
 import lexiconn.lexprod
 from lexiconn.graphs import ExtendedNat
-from lexiconn.harness import THEOREM_IDS, _check, _class_key, clear_caches
+from lexiconn.harness import THEOREM_IDS, _check, _class_key
 from lexiconn.io import GraphParseError
 
 
@@ -48,6 +49,12 @@ class TestEnumeration:
         graphs = list(enumerate_labeled_graphs(2))
         assert graphs[0].num_edges == 0
         assert graphs[1] == complete_graph(2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_graphs_come_in_edge_mask_order(self, n):
+        # the golden digests rest on this order
+        masks = range(2 ** (n * (n - 1) // 2))
+        assert list(enumerate_labeled_graphs(n)) == [graph_from_mask(n, mask) for mask in masks]
 
     def test_budget(self):
         with pytest.raises(ValueError):
@@ -103,7 +110,7 @@ class TestInstanceFamily:
         second = [(a, b) for a, b in fam.instances()]
         assert first == second
 
-    def test_exhaustive_walks_hand_out_the_same_graphs(self):
+    def test_exhaustive_walks_hand_out_the_same_graphs(self, monkeypatch):
         family = InstanceFamily(4, 3)
         first, second = list(family.instances()), list(family.instances())
         assert first == second
@@ -112,9 +119,19 @@ class TestInstanceFamily:
         lefts = [g for n in range(1, 5) for g in enumerate_labeled_graphs(n)]
         rights = [g for n in range(1, 4) for g in enumerate_labeled_graphs(n)]
         assert first == [(g1, g2) for g1 in lefts for g2 in rights]
-        # the kept graphs are no field: the family compares, hashes and prints by its parameters
+        # an equal family object starts with an empty memo, so it scans as often as the first
+        scanned = []
+        twin_scan = lexiconn.harness._twin_scan
+        monkeypatch.setattr(lexiconn.harness, "_twin_scan", lambda g: scanned.append(g) or twin_scan(g))
         fresh = InstanceFamily(4, 3)
-        assert family == fresh and hash(family) == hash(fresh) and repr(family) == repr(fresh)
+        counts = []
+        for fam in (family, fresh):
+            verify_theorem("cor24", fam, "all_cuts")
+            counts.append(len(scanned))
+        assert counts[0] > 0 and counts[1] == 2 * counts[0]
+        # the kept graphs and the memo are no field: the family compares, hashes and prints by its parameters
+        for other in (fresh, InstanceFamily(4, 3)):
+            assert family == other and hash(family) == hash(other) and repr(family) == repr(other)
         assert family != InstanceFamily(4, 2)
 
 
@@ -137,7 +154,6 @@ class TestClassKey:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_key_is_the_least_mask_over_all_relabelings(self, n):
-        clear_caches()
         for g in enumerate_labeled_graphs(n):
             assert _class_key(g) == brute_class_key(g)
 
@@ -157,7 +173,6 @@ class TestClassKey:
             assert _class_key(relabeled) == key
 
     def test_symmetric_24_vertex_graphs_fall_back_quickly(self):
-        clear_caches()
         start = time.perf_counter()
         for g in (empty_graph(24), complete_graph(24)):
             assert _class_key(g) == ("labeled", g.adj_bits)
@@ -208,8 +223,8 @@ class TestClassKey:
         # every product here is connected, so none has a cut of size 0
         scan = lexiconn.harness._scan
 
-        def wrong(g1, g2=None):
-            value = scan(g1, g2)
+        def wrong(scans, g1, g2=None):
+            value = scan(scans, g1, g2)
             return value if g2 is None else dataclasses.replace(value, **wrong_size)
 
         monkeypatch.setattr(lexiconn.harness, "_scan", wrong)
@@ -286,8 +301,8 @@ class TestVerifyTheorem:
     def test_reports_are_deterministic(self):
         family = InstanceFamily(4, 2)
         first = verify_theorem("cor24", family, "min_cuts_only")
-        clear_caches()
-        second = verify_theorem("cor24", family, "min_cuts_only")
+        # an equal family object starts with an empty memo
+        second = verify_theorem("cor24", InstanceFamily(4, 2), "min_cuts_only")
         assert first.canonical_json() == second.canonical_json()
 
     def test_random_mode_reports_carry_their_seed(self):
@@ -308,7 +323,8 @@ class TestVerifyTheorem:
         runs = [("thm21", "min_cuts_only"), ("super_part1", "min_cuts_only")]
         runs += [(theorem_id, reading) for theorem_id in ("thm22", "cor24") for reading in READINGS]
         first = [verify_theorem(theorem_id, family, reading) for theorem_id, reading in runs]
-        witnessed = verify_theorem("cor24", InstanceFamily(4, 3), "all_cuts")
+        wide = InstanceFamily(4, 3)
+        witnessed = verify_theorem("cor24", wide, "all_cuts")
         calls = {}
 
         def counting(key, inner):
@@ -335,7 +351,7 @@ class TestVerifyTheorem:
             "lexiconn.lexprod.scan_cuts": 0,
         }
         # a witness walks its own labeled product, but scans nothing
-        again = verify_theorem("cor24", InstanceFamily(4, 3), "all_cuts")
+        again = verify_theorem("cor24", wide, "all_cuts")
         assert again.canonical_json() == witnessed.canonical_json()
         assert calls == {
             "lexiconn.harness.lex_product": 48,
@@ -348,9 +364,9 @@ class TestVerifyTheorem:
         verdict = lexiconn.harness._verdict
         derived = []
 
-        def counting(theorem_id, g1, g2, reading):
+        def counting(scans, theorem_id, g1, g2, reading):
             derived.append((_class_key(g1), _class_key(g2)))
-            return verdict(theorem_id, g1, g2, reading)
+            return verdict(scans, theorem_id, g1, g2, reading)
 
         monkeypatch.setattr(lexiconn.harness, "_verdict", counting)
         report = verify_theorem("cor24", family, "all_cuts")
@@ -419,7 +435,6 @@ class TestVerifyTheorem:
         monkeypatch.setattr(lexiconn.lexprod, "vertex_connectivity", counting)
         # the harness does not import it today; a future direct call is counted too
         monkeypatch.setattr(lexiconn.harness, "vertex_connectivity", counting, raising=False)
-        clear_caches()
         report = verify_theorem("thm21", InstanceFamily(4, 2))
         assert report.instances_checked > 0 and report.discrepancies == ()
         assert calls == []
@@ -431,7 +446,6 @@ class TestVerifyTheorem:
         # such a factor's scan can walk exponentially many subsets, and no rule needs it
         from lexiconn import is_complete, is_connected
 
-        clear_caches()
         scanned = []
         scan = lexiconn.harness._twin_scan
 
@@ -472,6 +486,39 @@ class TestCertificateValidation:
             rebuilt = DiscrepancyCertificate.from_json(json.loads(json.dumps(cert.to_json())))
             assert rebuilt == cert
             assert validate_certificate(rebuilt)
+
+    def test_validation_rescans_instead_of_reading_the_sweeps_memo(self, monkeypatch):
+        family = InstanceFamily(4, 3)
+        certs = verify_theorem("cor24", family, "all_cuts").discrepancies
+        assert len(certs) == 168
+        # a k1 the products do not have: a validation reading it would find no k1 cut of that size
+        products = {key: scan for key, scan in family._scans.items() if key[1] is not None and scan.k1.is_finite}
+        assert products
+        for key, scan in products.items():
+            family._scans[key] = dataclasses.replace(scan, k1=ExtendedNat(scan.k1.value + 1))
+        scanned = []
+        twin_scan = lexiconn.harness._twin_scan
+        monkeypatch.setattr(lexiconn.harness, "_twin_scan", lambda g: scanned.append(g) or twin_scan(g))
+        assert all(validate_certificate(cert) for cert in certs)
+        assert scanned
+
+    def test_a_sweep_leaves_no_module_level_state_behind(self):
+        def sizes():
+            modules = [m for name, m in sys.modules.items() if name == "lexiconn" or name.startswith("lexiconn.")]
+            return {
+                (module.__name__, name): len(value)
+                for module in modules
+                for name, value in vars(module).items()
+                if not name.startswith("__") and isinstance(value, (dict, list, set))
+            }
+
+        before = sizes()
+        # the random family's left factors reach seven vertices, past ENUMERATION_LIMIT
+        families = (InstanceFamily(3, 3), InstanceFamily(7, 2, mode="random", sample_count=20))
+        assert max(g1.n for g1, _ in families[1].instances()) > lexiconn.harness.ENUMERATION_LIMIT
+        certs = [c for family in families for c in verify_theorem("cor24", family, "all_cuts").discrepancies]
+        assert certs and all(validate_certificate(cert) for cert in certs)
+        assert sizes() == before
 
     def test_cross_family_tampering_rejected(self):
         # a witnessless k1 certificate repackaged as a connectivity claim
@@ -630,13 +677,14 @@ class TestRuleTable:
         # the part2 branch needs a right factor like 2K2: disconnected, no isolated vertex
         pairs += InstanceFamily(3, 4).instances()
         branches = {invariant: set() for invariant, _ in lexiconn.harness._RULES.values()}
+        scans = {}
         for g1, g2 in pairs:
             for theorem_id, (invariant, label) in lexiconn.harness._RULES.items():
                 branch = _lexprod_branch(invariant, g1, g2)
                 branches[invariant].add(branch)
                 # a fallback answer does not name the rule whose witness failed
                 if branch != "oracle_fallback":
-                    checked = lexiconn.harness._formula(theorem_id, g1, g2, "min_cuts_only") is not None
+                    checked = lexiconn.harness._formula(scans, theorem_id, g1, g2, "min_cuts_only") is not None
                     assert checked == (branch == label), (theorem_id, g1.edges(), g2.edges())
         for invariant, label in lexiconn.harness._RULES.values():
             assert label in branches[invariant], label

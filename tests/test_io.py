@@ -142,6 +142,11 @@ class TestGraph6:
         with pytest.raises(GraphParseError, match="padding"):
             parse_graph6(text)
 
+    @pytest.mark.parametrize("text", ["A_\nBw\n", "A_\r\nBw", ">>graph6<<A_\n>>graph6<<Bw"])
+    def test_two_graphs_are_named_as_more_than_one_line(self, text):
+        with pytest.raises(GraphParseError, match="more than one line; a file holds one graph"):
+            parse_graph6(text)
+
     def test_zero_padding_accepted(self):
         assert parse_graph6("Bw") == complete_graph(3)
         assert serialize_graph6(complete_graph(3)) == "Bw"
