@@ -33,17 +33,26 @@ are the larger sizes walked for a k1 cut.
 
 The walk draws its subsets from a subset source, a function from a size
 to the subsets of that size to try, in lex order. ``scan_cuts`` and every
-public oracle draw all of them. ``_twin_scan`` draws fewer. Twins are
-vertices u, v with N(u) - v = N(v) - u, and swapping two twins is an
-automorphism, so it keeps whether a subset cuts, whether it disconnects
-and how many vertices it isolates. A subset that takes a later twin but
-not an earlier one becomes lex-smaller by the swap, so the lex-first cut
-of every kind the walk looks for takes a prefix of each twin class.
-``_twin_scan`` draws only those prefix subsets, and returns exactly
-``scan_cuts``' CutScan, cuts included; its source is one flat generator
-per size with a stack of the branches that skip a vertex and so its
-later twins. A product's right-factor copies on two or three vertices
-always fall into twin classes, so its walk is much shorter.
+public oracle draw all of them. ``_twin_scan`` draws only the unions of
+whole twin classes, and returns exactly ``scan_cuts``' CutScan, cuts
+included. Twins are vertices u, v with N(u) - v = N(v) - u; being twins
+is an equivalence, and its classes are the twin classes. In a
+non-complete graph every minimum cut and every minimum k1 cut is a union
+of whole twin classes. Let S be one, u in S and v a twin of u outside S,
+and put u back. If v has a neighbour w outside S, u is adjacent to w and
+to nothing outside S that v's piece lacks, so u joins that piece and is
+not isolated. Otherwise v is isolated in G - S, which a k1 cut rules
+out; for a disconnecting set, u joins v's piece or forms its own. Either
+way no two pieces merge and no vertex becomes isolated, so S - u is a
+smaller cut of the same kind. A minimum cut of a non-complete graph
+disconnects it, so this covers every minimum cut, and the class walk
+meets every minimum cut and every minimum k1 cut in the lex walk's
+order. Complete graphs are the one exception, as their cuts leave a
+single vertex. The source takes the least undecided vertex's whole class
+or skips that class: each set taking it comes before each set skipping
+it in lex order, as the two agree below it. A product's right-factor
+copies on two or three vertices always fall into twin classes, so its
+walk is much shorter.
 """
 
 from __future__ import annotations
@@ -150,16 +159,14 @@ def _vertex_cuts(g: Graph, subsets) -> Iterator[tuple[tuple[int, ...], int, bool
             yield subset, rem, False
 
 
-def _certificate(g: Graph, cut, rem: int, disconnects: bool, is_minimum: bool) -> CutCertificate:
-    """The certificate of a cut the kernel yielded; ``rem`` 0 records a
-    subset that is not a cut, which neither trivializes nor isolates."""
-    return CutCertificate(
-        cut=cut,
-        disconnects=disconnects,
-        reduces_to_trivial=bool(rem) and not disconnects,
-        isolated_after=_bits_to_tuple(_isolated_mask(g.adj_bits, rem)),
-        is_minimum=is_minimum,
-    )
+def _certificate(g: Graph, cut, is_minimum: bool) -> CutCertificate:
+    """What removing ``cut`` does to ``g``, read from one kernel pass over
+    it; a subset that is not a cut neither disconnects, trivializes nor
+    isolates, and is no minimum cut."""
+    for _, rem, disconnects in _vertex_cuts(g, (cut,)):
+        isolated = _bits_to_tuple(_isolated_mask(g.adj_bits, rem))
+        return CutCertificate(cut, disconnects, not disconnects, isolated, is_minimum)
+    return CutCertificate(cut, False, False, (), False)
 
 
 def is_vertex_cut(g: Graph, cut) -> bool:
@@ -186,12 +193,7 @@ def is_k1_vertex_cut(g: Graph, cut) -> bool:
 def cut_certificate(g: Graph, cut) -> CutCertificate:
     """Populate every observation flag for ``cut`` on ``g``; is_minimum runs the oracle."""
     cut = vertex_set(cut, n=g.n)
-    kappa = vertex_connectivity_oracle(g)
-    for _, rem, disconnects in _vertex_cuts(g, (cut,)):
-        return _certificate(g, cut, rem, disconnects, is_minimum=len(cut) == kappa)
-    # not a cut: nothing remains, or a connected graph on two or more
-    # vertices, which has no isolated vertex
-    return _certificate(g, cut, 0, False, is_minimum=False)
+    return _certificate(g, cut, is_minimum=len(cut) == vertex_connectivity_oracle(g))
 
 
 def _lex_subsets(g: Graph):
@@ -199,39 +201,46 @@ def _lex_subsets(g: Graph):
     return partial(combinations, range(g.n))
 
 
-def _twin_subsets(g: Graph):
-    """The twin-prefix subset source: size -> the subsets of that size, in
-    lex order, that take each member's nearest earlier twin too, so a
-    prefix of every twin class; ``_lex_subsets(g)`` itself when no vertex
-    has an earlier twin."""
+def _class_subsets(g: Graph):
+    """The class-union subset source: size -> the unions of whole twin
+    classes of that size, in lex order; ``_lex_subsets(g)`` itself when
+    ``g`` is complete or has no twins."""
     bits = g.adj_bits
-    # tail[v]: v and its later twins, the vertices that skipping v rules out
-    tail = [1 << v for v in range(g.n)]
-    for v in range(g.n - 1, 0, -1):
-        for u in range(v - 1, -1, -1):
-            if bits[u] & ~(1 << v) == bits[v] & ~(1 << u):
-                tail[u] |= tail[v]
-                break
-    if all(t.bit_count() == 1 for t in tail):
+    # two twins share their open neighbourhood when non-adjacent and their
+    # closed one when adjacent, and no vertex has twins of both kinds
+    open_nbhd: dict[int, int] = {}
+    closed_nbhd: dict[int, int] = {}
+    for v, row in enumerate(bits):
+        open_nbhd[row] = open_nbhd.get(row, 0) | 1 << v
+        closed_nbhd[row | 1 << v] = closed_nbhd.get(row | 1 << v, 0) | 1 << v
+    if len(open_nbhd) == len(closed_nbhd) == g.n or is_complete(g):
         return _lex_subsets(g)
+    # v's class is its open-neighbourhood group when that has two members, else its closed one
+    twins = (c if (c := open_nbhd[row]) & (c - 1) else closed_nbhd[row | 1 << v] for v, row in enumerate(bits))
+    # each class once, ordered by its least vertex, with its size
+    classes = [(mask, mask.bit_count()) for mask in dict.fromkeys(twins)]
+    # bit s of reach[i]: some union of classes[i:] has s vertices
+    reach = [1] * (len(classes) + 1)
+    for i in range(len(classes) - 1, -1, -1):
+        reach[i] = reach[i + 1] | reach[i + 1] << classes[i][1]
 
     def walk(need: int):
-        """Every way, in lex order, to take ``need`` vertices: take the least
-        allowed vertex and stack the branch skipping it, if it can still
-        take ``need``, so every branch popped ends in a yield."""
-        skips = [((), need, (1 << g.n) - 1)] if need <= g.n else []
+        """Every class union of ``need`` vertices, in lex order: take the next
+        class and stack the branch skipping it, when both can still reach
+        ``need``, so every branch popped ends in a yield."""
+        skips = [(0, need, 0)] if reach[0] >> need & 1 else []
         while skips:
-            taken, need, allowed = skips.pop()
+            taken, need, i = skips.pop()
             while need:
-                b = allowed & -allowed
-                v = b.bit_length() - 1
-                rest = allowed & ~tail[v]
-                if need <= rest.bit_count():
-                    skips.append((taken, need, rest))
-                taken += (v,)
-                need -= 1
-                allowed ^= b
-            yield taken
+                mask, size = classes[i]
+                i += 1
+                if reach[i] >> need & 1:
+                    if size > need or not reach[i] >> (need - size) & 1:
+                        continue
+                    skips.append((taken, need, i))
+                taken |= mask
+                need -= size
+            yield _bits_to_tuple(taken)
 
     return walk
 
@@ -272,16 +281,6 @@ def _optimal_min_cut(g: Graph, subsets) -> tuple[tuple[int, ...], tuple[int, ...
     return first, optimal, fewest
 
 
-def _first_k1_cut(g: Graph, sizes, subsets) -> tuple[tuple[int, ...], int, bool] | None:
-    """The kernel's hit for the first subset of ``sizes``, by size then in
-    the order of ``subsets``, that disconnects ``g`` and isolates nobody;
-    None when none does."""
-    for cut, rem, disconnects in _vertex_cuts(g, chain.from_iterable(map(subsets, sizes))):
-        if disconnects and not _isolated_mask(g.adj_bits, rem):
-            return cut, rem, disconnects
-    return None
-
-
 def _walk(g: Graph, subsets) -> CutScan:
     """The sweep behind ``scan_cuts``, drawing its subsets from ``subsets``.
 
@@ -294,8 +293,8 @@ def _walk(g: Graph, subsets) -> CutScan:
     kappa_cut, optimal_cut, optimal_isolated = _optimal_min_cut(g, subsets)
     k1_cut = optimal_cut if optimal_isolated == 0 else None
     if k1_cut is None:
-        hit = _first_k1_cut(g, range(len(kappa_cut) + 1, g.n - 3), subsets)
-        k1_cut = hit[0] if hit is not None else None
+        hits = _vertex_cuts(g, chain.from_iterable(map(subsets, range(len(kappa_cut) + 1, g.n - 3))))
+        k1_cut = next((cut for cut, rem, apart in hits if apart and not _isolated_mask(g.adj_bits, rem)), None)
     return CutScan(
         kappa=len(kappa_cut),
         kappa_cut=kappa_cut,
@@ -315,9 +314,9 @@ def scan_cuts(g: Graph) -> CutScan:
 
 
 def _twin_scan(g: Graph) -> CutScan:
-    """``scan_cuts``' sweep over the twin-prefix subsets only, with the same
-    CutScan."""
-    return _walk(g, _twin_subsets(g))
+    """``scan_cuts``' sweep over the unions of whole twin classes only, with
+    the same CutScan."""
+    return _walk(g, _class_subsets(g))
 
 
 def vertex_connectivity_oracle(g: Graph) -> int:
@@ -337,10 +336,7 @@ def enumerate_min_vertex_cuts(g: Graph) -> list[CutCertificate]:
         raise ValueError("minimum-cut enumeration requires a connected graph")
     if is_complete(g):
         raise ValueError("minimum-cut enumeration requires a non-complete graph")
-    return [
-        _certificate(g, cut, rem, disconnects, is_minimum=True)
-        for cut, rem, disconnects in _min_cuts(g, _lex_subsets(g))
-    ]
+    return [_certificate(g, cut, is_minimum=True) for cut, _, _ in _min_cuts(g, _lex_subsets(g))]
 
 
 def is_super_connected(g: Graph) -> bool:

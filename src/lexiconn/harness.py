@@ -20,21 +20,22 @@ Each InstanceFamily memoizes cut scans while it lives, keyed by the
 isomorphism classes of the factors, because the reports of a sweep share
 their products up to relabeling; a hit builds nothing. A memo entry is
 cuts._twin_scan of the first labeling visited, which walks only the
-subsets taking a prefix of each twin class and returns scan_cuts' exact
-CutScan. Its cuts belong to that labeling, so only its class invariants
-are read: kappa, k1, the fewest isolated vertices over minimum cuts and
-super connectivity. A factor that is disconnected or complete is
-recorded without a scan, and no rule reads a right factor's own scan.
-A discrepancy's witness is walked on its own labeled product, over the
-same twin-prefix subsets, so reports do not depend on the memo.
+unions of whole twin classes and returns scan_cuts' exact CutScan. Its
+cuts belong to that labeling, so only its class invariants are read:
+kappa, k1, the fewest isolated vertices over minimum cuts and super
+connectivity. A factor that is disconnected or complete is recorded
+without a scan, and no rule reads a right factor's own scan. A
+discrepancy's witness is read off a _twin_scan of its own labeled
+product, so reports do not depend on the memo; which subsets a scan
+walks, and how a cut is certified, is left to the cuts module.
 
 Within one verify_theorem call, the verdict on a pair (skipped, agreed,
 or the discrepancy's values and witness size) is kept per pair of
 factor classes, since every input to it is a class invariant, and a
 pair visit is one lookup in its left class's row, keyed by the right
 factor's adjacency and filled from the class-pair verdicts. A repeat
-visit to a discrepant class pair only writes its certificate: it walks
-the witness on its labeled product and names the factors, each labeled
+visit to a discrepant class pair only writes its certificate: it scans
+its labeled product for the witness and names the factors, each labeled
 factor serialized to graph6 once per call.
 
 A graph on n <= ENUMERATION_LIMIT vertices is keyed by n and the least
@@ -56,7 +57,7 @@ from functools import cache, cached_property
 from random import Random
 from typing import Iterator
 
-from .cuts import CutCertificate, CutScan, _certificate, _first_k1_cut, _twin_scan, _twin_subsets, _vertex_cuts
+from .cuts import CutCertificate, CutScan, _certificate, _twin_scan
 from .graphs import ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected
 from .io import parse_graph6, serialize_graph6
 from .lexprod import READINGS, _k1_branch, _k1_rule, _kappa_rule, _super_branch, lex_product
@@ -364,26 +365,22 @@ def _discrepancy(
 ) -> DiscrepancyCertificate:
     """The pair's certificate from its verdict's ``facts``.
 
-    The witness is the first cut of the pair's own labeled product, in lex
-    order, of the size the memo proved (the cut scan_cuts would find),
-    walked over its twin-prefix subsets and certified from that hit; none
-    raises RuntimeError. ``names`` maps a factor's adjacency to its graph6
+    The witness is read off _twin_scan of the pair's own labeled product:
+    its kappa_cut for a minimum-cut witness, its k1_cut for a k1 witness,
+    the lex-first cut of its kind and the one scan_cuts finds. A cut that
+    is missing or not of the size the memo proved raises RuntimeError
+    naming the field. ``names`` maps a factor's adjacency to its graph6
     string; a factor not in it yet is serialized and added.
     """
     formula, oracle, witness = facts
     if witness is not None:
         k1_witness, size, is_minimum = witness
         labeled = lex_product(g1, g2)
-        subsets = _twin_subsets(labeled)
-        if k1_witness:
-            hit = _first_k1_cut(labeled, (size,), subsets)
-        else:
-            hit = next(_vertex_cuts(labeled, subsets(size)), None)
-        if hit is None:
-            field = "k1" if k1_witness else "kappa"
-            raise RuntimeError(f"the class memo has no {field}_cut of its size on {serialize_graph6(labeled)}")
-        cut, rem, disconnects = hit
-        witness = _certificate(labeled, cut, rem, disconnects, is_minimum)
+        field = "k1_cut" if k1_witness else "kappa_cut"
+        cut = getattr(_twin_scan(labeled), field)
+        if cut is None or len(cut) != size:
+            raise RuntimeError(f"the class memo has no {field} of its size on {serialize_graph6(labeled)}")
+        witness = _certificate(labeled, cut, is_minimum)
     for g in (g1, g2):
         if g.adj_bits not in names:
             names[g.adj_bits] = serialize_graph6(g)

@@ -53,9 +53,12 @@ keeps lex order, so the product's first k1 cut is the rows of G1's first
 k1 cut. A verified witness proves only that k1 is at most the value, so
 an overestimate goes uncaught. By K2 + 3K1, "cor24" gives 14 for graph6
 ``Fi`AO`` and "thm23" gives 14 for graph6 ``HNhA@`?``, and both products
-have a lifted k1 cut of 13 vertices. The harness finds no "thm23"
-discrepancy over six-vertex left factors, but it checks only products
-within its PRODUCT_LIMIT.
+have a lifted k1 cut of 13 vertices. Over six-vertex left factors, within
+its PRODUCT_LIMIT, the harness finds no "thm23" discrepancy under
+"min_cuts_only", and under "all_cuts" one on every pair whose right
+factor has an isolated vertex: that reading counts 0 isolated vertices,
+as the left factor has a k1 cut, though each of its minimum cuts
+isolates a vertex.
 """
 
 from __future__ import annotations

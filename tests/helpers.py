@@ -60,6 +60,14 @@ def brute_k1(g: Graph) -> int | None:
     return None
 
 
+def brute_twin_classes(g: Graph) -> list[frozenset[int]]:
+    """The twin classes of ``g``, ordered by their least vertex: u and v
+    are twins when N(u) - v = N(v) - u."""
+    adj = adjacency(g)
+    classes = {frozenset(u for u in adj if adj[u] - {v} == adj[v] - {u}) for v in adj}
+    return sorted(classes, key=min)
+
+
 def brute_is_super(g: Graph) -> bool:
     adj = adjacency(g)
     comps = components_without(adj, set())

@@ -12,6 +12,7 @@ from helpers import (
     brute_kappa,
     brute_least_isolating,
     brute_optimal_min_cut,
+    brute_twin_classes,
     components_without,
     graph_from_mask,
 )
@@ -40,7 +41,7 @@ from lexiconn import (
     vertex_connectivity,
     vertex_connectivity_oracle,
 )
-from lexiconn.cuts import _twin_scan, _twin_subsets, _vertex_cuts
+from lexiconn.cuts import _class_subsets, _twin_scan, _vertex_cuts
 
 
 def graphs(max_n=7, min_n=1):
@@ -406,8 +407,12 @@ class TestLeastIsolatingCut:
         assert over_all <= scan_cuts(g).optimal_isolated
 
 
+def is_class_union(classes, subset) -> bool:
+    return all(c <= set(subset) or c.isdisjoint(subset) for c in classes)
+
+
 class TestTwinScan:
-    """The memo walk: only the subsets taking a prefix of each twin class."""
+    """The memo walk: only the unions of whole twin classes."""
 
     def test_invariants_equal_the_lex_scan_on_every_small_graph(self):
         # all 33,867 labeled graphs on 1-6 vertices
@@ -415,20 +420,38 @@ class TestTwinScan:
             for g in enumerate_labeled_graphs(n):
                 assert _twin_scan(g) == scan_cuts(g), g.edges()
 
-    def test_source_draws_the_twin_prefix_combinations_in_lex_order(self):
+    def test_source_draws_the_class_union_combinations_in_lex_order(self):
         for n in range(1, 7):
             for g in enumerate_labeled_graphs(n):
-                nbrs = [g.neighbors(v) for v in range(n)]
-                classes = {frozenset(u for u in range(n) if nbrs[u] - {v} == nbrs[v] - {u}) for v in range(n)}
-                prefixes = [(c, {frozenset(sorted(c)[:k]) for k in range(len(c) + 1)}) for c in classes]
-                source = _twin_subsets(g)
+                complete = is_complete(g)
+                classes = brute_twin_classes(g)
+                source = _class_subsets(g)
                 for size in range(n + 1):
-                    expected = [
-                        s
-                        for s in combinations(range(n), size)
-                        if all(c.intersection(s) in heads for c, heads in prefixes)
-                    ]
+                    expected = [s for s in combinations(range(n), size) if complete or is_class_union(classes, s)]
                     assert list(source(size)) == expected, (g.edges(), size)
+
+    def test_minimum_cuts_and_k1_cuts_of_non_complete_graphs_are_class_unions(self):
+        # the lemma behind the walk, on the helpers alone: all labeled graphs on 1-5 vertices
+        for n in range(1, 6):
+            for mask in range(2 ** (n * (n - 1) // 2)):
+                g = graph_from_mask(n, mask)
+                adj = adjacency(g)
+                if all(len(adj[v]) == n - 1 for v in adj):
+                    continue
+                classes = brute_twin_classes(g)
+                for s in combinations(range(n), brute_kappa(g)):
+                    assert not brute_is_cut(g, s) or is_class_union(classes, s), (g.edges(), s)
+                k1 = brute_k1(g)
+                if k1 is None:
+                    continue
+                for s in combinations(range(n), k1):
+                    parts = components_without(adj, set(s))
+                    if len(parts) > 1 and all(len(p) > 1 for p in parts):
+                        assert is_class_union(classes, s), (g.edges(), s)
+        # the exception: K3 is one class, and each minimum cut leaves one of its vertices
+        k3 = graph_from_mask(3, 0b111)
+        assert brute_kappa(k3) == 2 and brute_is_cut(k3, (0, 1))
+        assert not is_class_union(brute_twin_classes(k3), (0, 1))
 
 
 class TestCertificates:

@@ -270,6 +270,20 @@ class TestVerifyTheorem:
         assert report.instances_checked == 40590
         assert report.discrepancies == ()
 
+    def test_mid_branch_rule_fails_under_all_cuts_by_right_factors_with_isolated_vertices(self):
+        # a thm23 left factor has a k1 cut, so all_cuts counts 0 isolated
+        # vertices and predicts kappa * m; but its minimum cuts all isolate a
+        # vertex, and their rows leave the right factor's isolated copies isolated
+        family = InstanceFamily(6, 2)
+        report = verify_theorem("thm23", family, "all_cuts")
+        assert report.instances_checked == 11070
+        assert len(report.discrepancies) == 7380
+        # K1 and 2K1; K2 has no isolated vertex
+        assert {cert.g2 for cert in report.discrepancies} == {"@", "A?"}
+        assert all(cert.formula_value.value < cert.oracle_value.value for cert in report.discrepancies)
+        assert validate_certificate(report.discrepancies[0]) and validate_certificate(report.discrepancies[-1])
+        assert verify_theorem("thm23", family, "min_cuts_only").discrepancies == ()
+
     def test_super_rules_small(self):
         for theorem_id, family in (
             ("super_part1", InstanceFamily(4, 3)),
@@ -350,12 +364,13 @@ class TestVerifyTheorem:
             "lexiconn.harness._twin_scan": 0,
             "lexiconn.lexprod.scan_cuts": 0,
         }
-        # a witness walks its own labeled product, but scans nothing
+        # each witness is read off one scan of its own labeled product
         again = verify_theorem("cor24", wide, "all_cuts")
         assert again.canonical_json() == witnessed.canonical_json()
+        assert sum(cert.witness is not None for cert in again.discrepancies) == 48
         assert calls == {
             "lexiconn.harness.lex_product": 48,
-            "lexiconn.harness._twin_scan": 0,
+            "lexiconn.harness._twin_scan": 48,
             "lexiconn.lexprod.scan_cuts": 0,
         }
 
