@@ -32,7 +32,9 @@ cuts that stops at the first one isolating nobody; only when none does
 are the larger sizes walked for a k1 cut.
 
 The walk draws its subsets from a subset source, a function from a size
-to the subsets of that size to try, in lex order. ``scan_cuts`` and every
+to the subsets of that size to try, in lex order. A subset is a bitmask,
+bit v for vertex v, from the source through the kernel's yield; only the
+cuts a query returns become vertex tuples. ``scan_cuts`` and every
 public oracle draw all of them. ``_twin_scan`` draws only the unions of
 whole twin classes, and returns exactly ``scan_cuts``' CutScan, cuts
 included. Twins are vertices u, v with N(u) - v = N(v) - u; being twins
@@ -58,7 +60,6 @@ walk is much shorter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, combinations
 from typing import Iterator
 
@@ -126,22 +127,20 @@ def _isolated_mask(adj_bits, rem: int) -> int:
     return mask
 
 
-def _vertex_cuts(g: Graph, subsets) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+def _vertex_cuts(g: Graph, subsets) -> Iterator[tuple[int, int, bool]]:
     """The enumeration kernel: every oracle and predicate here runs on it.
 
-    For each subset, in the order given, whose removal is a vertex cut of
-    ``g``, yields (subset, remaining mask, disconnects); a cut that does
-    not disconnect leaves exactly one vertex. Removing every vertex is not
-    a cut and is never yielded. The flood from the lowest remaining vertex
-    stops as soon as ``left``, the remaining vertices not yet reached, is
-    empty, without walking the vertices still queued in ``frontier``.
+    ``subsets`` are vertex masks. For each, in the order given, whose
+    removal is a vertex cut of ``g``, yields (subset mask, remaining mask,
+    disconnects); a cut that does not disconnect leaves exactly one
+    vertex. Removing every vertex is not a cut and is never yielded. The
+    flood from the lowest remaining vertex stops as soon as ``left``, the
+    remaining vertices not yet reached, is empty, without walking the
+    vertices still queued in ``frontier``.
     """
     bits = g.adj_bits
     full = (1 << g.n) - 1
-    for subset in subsets:
-        removed = 0
-        for v in subset:
-            removed |= 1 << v
+    for removed in subsets:
         rem = full ^ removed
         if not rem:
             continue
@@ -154,16 +153,21 @@ def _vertex_cuts(g: Graph, subsets) -> Iterator[tuple[tuple[int, ...], int, bool
             left ^= reach
             frontier |= reach
         if left:
-            yield subset, rem, True
+            yield removed, rem, True
         elif rem & (rem - 1) == 0:
-            yield subset, rem, False
+            yield removed, rem, False
 
 
-def _certificate(g: Graph, cut, is_minimum: bool) -> CutCertificate:
-    """What removing ``cut`` does to ``g``, read from one kernel pass over
-    it; a subset that is not a cut neither disconnects, trivializes nor
-    isolates, and is no minimum cut."""
-    for _, rem, disconnects in _vertex_cuts(g, (cut,)):
+def _mask(cut: tuple[int, ...]) -> int:
+    """The mask of a sorted, duplicate-free tuple of valid vertex ids."""
+    return sum(1 << v for v in cut)
+
+
+def _certificate(g: Graph, cut: tuple[int, ...], is_minimum: bool) -> CutCertificate:
+    """What removing ``cut``, a valid vertex set, does to ``g``, read from
+    one kernel pass over it; a subset that is not a cut neither
+    disconnects, trivializes nor isolates, and is no minimum cut."""
+    for _, rem, disconnects in _vertex_cuts(g, (_mask(cut),)):
         isolated = _bits_to_tuple(_isolated_mask(g.adj_bits, rem))
         return CutCertificate(cut, disconnects, not disconnects, isolated, is_minimum)
     return CutCertificate(cut, False, False, (), False)
@@ -177,7 +181,7 @@ def is_vertex_cut(g: Graph, cut) -> bool:
     if g.n == 0:
         raise ValueError("the empty graph has no cuts")
     cut = vertex_set(cut, n=g.n)
-    return next(_vertex_cuts(g, (cut,)), None) is not None
+    return next(_vertex_cuts(g, (_mask(cut),)), None) is not None
 
 
 def is_k1_vertex_cut(g: Graph, cut) -> bool:
@@ -185,7 +189,7 @@ def is_k1_vertex_cut(g: Graph, cut) -> bool:
     if g.n == 0:
         raise ValueError("the empty graph has no cuts")
     cut = vertex_set(cut, n=g.n)
-    for _, rem, disconnects in _vertex_cuts(g, (cut,)):
+    for _, rem, disconnects in _vertex_cuts(g, (_mask(cut),)):
         return disconnects and not _isolated_mask(g.adj_bits, rem)
     return False
 
@@ -197,14 +201,17 @@ def cut_certificate(g: Graph, cut) -> CutCertificate:
 
 
 def _lex_subsets(g: Graph):
-    """The lex subset source: size -> every subset of that size, in lex order."""
-    return partial(combinations, range(g.n))
+    """The lex subset source: size -> the mask of every subset of that
+    size, in lex order; each mask sums a ``combinations`` draw of the
+    vertices' bits, all in C."""
+    bits = [1 << v for v in range(g.n)]
+    return lambda size: map(sum, combinations(bits, size))
 
 
 def _class_subsets(g: Graph):
-    """The class-union subset source: size -> the unions of whole twin
-    classes of that size, in lex order; ``_lex_subsets(g)`` itself when
-    ``g`` is complete or has no twins."""
+    """The class-union subset source: size -> the masks of the unions of
+    whole twin classes of that size, in lex order; ``_lex_subsets(g)``
+    itself when ``g`` is complete or has no twins."""
     bits = g.adj_bits
     # two twins share their open neighbourhood when non-adjacent and their
     # closed one when adjacent, and no vertex has twins of both kinds
@@ -240,12 +247,12 @@ def _class_subsets(g: Graph):
                     skips.append((taken, need, i))
                 taken |= mask
                 need -= size
-            yield _bits_to_tuple(taken)
+            yield taken
 
     return walk
 
 
-def _min_cuts(g: Graph, subsets) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+def _min_cuts(g: Graph, subsets) -> Iterator[tuple[int, int, bool]]:
     """The kernel's yields for the cuts that ``subsets`` draws of the first
     size that has any (n - 1 always does); no larger size is drawn, and no
     size below min(2 delta - n + 2, n - 1), with delta the least degree.
@@ -264,10 +271,10 @@ def _min_cuts(g: Graph, subsets) -> Iterator[tuple[tuple[int, ...], int, bool]]:
     raise ValueError("the empty graph has no cuts")
 
 
-def _optimal_min_cut(g: Graph, subsets) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def _optimal_min_cut(g: Graph, subsets) -> tuple[int, int, int]:
     """(first minimum cut, first minimum cut leaving the fewest isolated
-    vertices, that count), in the order of ``subsets``; the walk stops at
-    a cut leaving none."""
+    vertices, that count), cuts as masks, in the order of ``subsets``; the
+    walk stops at a cut leaving none."""
     hits = _min_cuts(g, subsets)
     first, rem, _ = next(hits)
     optimal, fewest = first, _isolated_mask(g.adj_bits, rem).bit_count()
@@ -290,19 +297,24 @@ def _walk(g: Graph, subsets) -> CutScan:
     leaves two components of at least two vertices each. A connected graph
     (kappa > 0, or K1) is super connected when every minimum cut isolates.
     """
-    kappa_cut, optimal_cut, optimal_isolated = _optimal_min_cut(g, subsets)
+    first, optimal, optimal_isolated = _optimal_min_cut(g, subsets)
+    kappa = first.bit_count()
+    # each returned cut becomes a tuple once, and equal cuts share that tuple
+    kappa_cut = _bits_to_tuple(first)
+    optimal_cut = kappa_cut if optimal == first else _bits_to_tuple(optimal)
     k1_cut = optimal_cut if optimal_isolated == 0 else None
     if k1_cut is None:
-        hits = _vertex_cuts(g, chain.from_iterable(map(subsets, range(len(kappa_cut) + 1, g.n - 3))))
-        k1_cut = next((cut for cut, rem, apart in hits if apart and not _isolated_mask(g.adj_bits, rem)), None)
+        hits = _vertex_cuts(g, chain.from_iterable(map(subsets, range(kappa + 1, g.n - 3))))
+        hit = next((cut for cut, rem, apart in hits if apart and not _isolated_mask(g.adj_bits, rem)), None)
+        k1_cut = None if hit is None else _bits_to_tuple(hit)
     return CutScan(
-        kappa=len(kappa_cut),
+        kappa=kappa,
         kappa_cut=kappa_cut,
         k1=ExtendedNat(len(k1_cut)) if k1_cut is not None else INFINITY,
         k1_cut=k1_cut,
         optimal_cut=optimal_cut,
         optimal_isolated=optimal_isolated,
-        super_connected=(len(kappa_cut) > 0 or g.n == 1) and optimal_isolated > 0,
+        super_connected=(kappa > 0 or g.n == 1) and optimal_isolated > 0,
     )
 
 
@@ -321,7 +333,7 @@ def _twin_scan(g: Graph) -> CutScan:
 
 def vertex_connectivity_oracle(g: Graph) -> int:
     """Connectivity by plain subset enumeration, smallest size first."""
-    return len(next(_min_cuts(g, _lex_subsets(g)))[0])
+    return next(_min_cuts(g, _lex_subsets(g)))[0].bit_count()
 
 
 def k1_connectivity(g: Graph) -> ExtendedNat:
@@ -336,7 +348,7 @@ def enumerate_min_vertex_cuts(g: Graph) -> list[CutCertificate]:
         raise ValueError("minimum-cut enumeration requires a connected graph")
     if is_complete(g):
         raise ValueError("minimum-cut enumeration requires a non-complete graph")
-    return [_certificate(g, cut, is_minimum=True) for cut, _, _ in _min_cuts(g, _lex_subsets(g))]
+    return [_certificate(g, _bits_to_tuple(cut), is_minimum=True) for cut, _, _ in _min_cuts(g, _lex_subsets(g))]
 
 
 def is_super_connected(g: Graph) -> bool:

@@ -217,6 +217,16 @@ def _k1_rule(left: CutScan, g2: Graph, reading: str) -> ExtendedNat:
     return ExtendedNat(value)
 
 
+# the finite k1 values below 64, each one shared ExtendedNat, so a caller
+# keeping many results keeps no value object per result
+_K1_VALUES = tuple(map(ExtendedNat, range(64)))
+
+
+def _k1_value(size: int) -> ExtendedNat:
+    """ExtendedNat(size), one shared object for sizes below 64."""
+    return _K1_VALUES[size] if size < len(_K1_VALUES) else ExtendedNat(size)
+
+
 def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     """k1 connectivity of the product, closed form first, oracle as backstop.
 
@@ -238,7 +248,7 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     if is_complete(g1):
         right, rows = scan_cuts(g2), (g1.n - 1) * m
         witness = None if right.k1_cut is None else tuple(range(rows)) + tuple(rows + j for j in right.k1_cut)
-        value = right.k1 if witness is None else ExtendedNat(len(witness))
+        value = right.k1 if witness is None else _k1_value(len(witness))
         return LexK1Result(value=value, branch="complete_left", witness=witness)
     left = scan_cuts(g1)
     # a k1 cut strands no row, so its lift is its rows; min keeps the
@@ -246,9 +256,18 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     witness = min((_lift(g1, g2, c) for c in (left.k1_cut, left.optimal_cut) if c is not None), key=len)
     product = g1 if m == 1 else lex_product(g1, g2)
     if is_k1_vertex_cut(product, witness):
-        return LexK1Result(value=ExtendedNat(len(witness)), branch=_k1_branch(left), witness=witness)
+        return LexK1Result(value=_k1_value(len(witness)), branch=_k1_branch(left), witness=witness)
     scan = left if m == 1 else scan_cuts(product)
     return LexK1Result(value=scan.k1, branch="oracle_fallback", witness=scan.k1_cut)
+
+
+# every (verdict, branch) answer lex_super_connected can give, each one shared
+# tuple, so a caller keeping many answers keeps no tuple per answer
+_SUPER_ANSWERS = {
+    (verdict, branch): (verdict, branch)
+    for verdict in (False, True)
+    for branch in ("disconnected", "complete_left", "iso_m1", "part1", "part2", "part3", "left_not_super")
+}
 
 
 def _super_branch(g2: Graph, left_super: bool) -> str:
@@ -267,6 +286,7 @@ def lex_super_connected(g1: Graph, g2: Graph) -> tuple[bool, str]:
     """Is the product super connected, and which exact rule decided it.
 
     No product is built or scanned, so no answer is an "oracle_fallback".
+    Each answer is one shared constant tuple, not a fresh one per call.
     Over a connected non-complete left factor, the product's minimum cuts
     are the rows of the left factor's; such a row isolates a product
     vertex exactly when its left cut isolates a vertex whose copy is an
@@ -277,10 +297,10 @@ def lex_super_connected(g1: Graph, g2: Graph) -> tuple[bool, str]:
     if g1.n == 0 or g2.n == 0:
         raise ValueError("product factors must be non-empty")
     if not is_connected(g1):
-        return False, "disconnected"
+        return _SUPER_ANSWERS[False, "disconnected"]
     if is_complete(g1):
         verdict = is_super_connected(g2) if is_connected(g2) else g1.n > 1 and bool(isolated_vertices(g2))
-        return verdict, "complete_left"
+        return _SUPER_ANSWERS[verdict, "complete_left"]
     # the left factor's minimum-cut walk runs only when the verdict can be True
     verdict = bool(isolated_vertices(g2)) and is_super_connected(g1)
-    return verdict, _super_branch(g2, verdict)
+    return _SUPER_ANSWERS[verdict, _super_branch(g2, verdict)]

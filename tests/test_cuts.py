@@ -54,13 +54,17 @@ def connected_graphs(max_n=7, min_n=2):
     return graphs(max_n=max_n, min_n=min_n).filter(is_connected)
 
 
+def mask_of(subset) -> int:
+    return sum(1 << v for v in subset)
+
+
 def brute_kernel_yield(g, subset):
-    """What the kernel should yield for ``subset``: (subset, remaining mask,
-    more than one component) when it is a cut, else None."""
+    """What the kernel should yield for the mask of ``subset``: (that mask,
+    remaining mask, more than one component) when it is a cut, else None."""
     if not brute_is_cut(g, subset):
         return None
     rem = sum(1 << v for v in range(g.n) if v not in subset)
-    return subset, rem, len(components_without(adjacency(g), set(subset))) > 1
+    return mask_of(subset), rem, len(components_without(adjacency(g), set(subset))) > 1
 
 
 def degree_bound(g):
@@ -77,14 +81,14 @@ class TestKernel:
             subsets = list(chain.from_iterable(combinations(range(n), k) for k in range(n + 1)))
             for g in enumerate_labeled_graphs(n):
                 expected = [hit for s in subsets if (hit := brute_kernel_yield(g, s)) is not None]
-                assert list(_vertex_cuts(g, subsets)) == expected, g.edges()
+                assert list(_vertex_cuts(g, map(mask_of, subsets))) == expected, g.edges()
 
     @settings(max_examples=300, deadline=None)
     @given(graphs(max_n=16), st.data())
     def test_random_subsets_up_to_16_vertices(self, g, data):
         subset = tuple(sorted(data.draw(st.sets(st.integers(0, g.n - 1)))))
         hit = brute_kernel_yield(g, subset)
-        assert list(_vertex_cuts(g, (subset,))) == ([hit] if hit is not None else [])
+        assert list(_vertex_cuts(g, (mask_of(subset),))) == ([hit] if hit is not None else [])
 
 
 class TestDegreeBound:
@@ -105,9 +109,9 @@ class TestDegreeBound:
 
         def recording(g, subsets):
             def record():
-                for subset in subsets:
-                    drawn.append(len(subset))
-                    yield subset
+                for mask in subsets:
+                    drawn.append(mask.bit_count())
+                    yield mask
 
             return kernel(g, record())
 
@@ -137,6 +141,36 @@ class TestIsVertexCut:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             is_vertex_cut(path_graph(3), (3,))
+
+
+PREDICATES = (is_vertex_cut, is_k1_vertex_cut, cut_certificate)
+
+
+class TestPredicateInputs:
+    """The predicates check their ids before folding them into a mask."""
+
+    @pytest.mark.parametrize("predicate", PREDICATES)
+    @pytest.mark.parametrize(
+        "cut, error, message",
+        [
+            ((-1,), ValueError, "vertex id -1 out of range for 6 vertices"),
+            ((0, 6), ValueError, "vertex id 6 out of range for 6 vertices"),
+            ((True,), TypeError, "vertex ids must be ints"),
+        ],
+    )
+    def test_bad_ids_raise_before_any_shift(self, predicate, cut, error, message):
+        with pytest.raises(error) as info:
+            predicate(path_graph(6), cut)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("predicate", PREDICATES)
+    def test_duplicate_ids_count_once(self, predicate):
+        # summed without de-duplication, (1, 1) would carry into vertex 2
+        for g in (path_graph(3), path_graph(6), star_graph(3)):
+            for v in range(g.n):
+                assert predicate(g, (v, v)) == predicate(g, (v,)), (g.edges(), v)
+        assert is_vertex_cut(path_graph(3), (1, 1)) and not is_vertex_cut(path_graph(3), (2,))
+        assert is_k1_vertex_cut(path_graph(6), (2, 2)) and not is_k1_vertex_cut(path_graph(6), (4,))
 
 
 class TestIsK1VertexCut:
@@ -310,9 +344,9 @@ class TestSuperConnected:
 
         def recording(g, subsets):
             def record():
-                for subset in subsets:
-                    drawn.append(len(subset))
-                    yield subset
+                for mask in subsets:
+                    drawn.append(mask.bit_count())
+                    yield mask
 
             return kernel(g, record())
 
@@ -353,9 +387,9 @@ class TestSelectOptimalMinCut:
 
         def recording(g, subsets):
             def record():
-                for subset in subsets:
-                    drawn.append(len(subset))
-                    yield subset
+                for mask in subsets:
+                    drawn.append(mask.bit_count())
+                    yield mask
 
             return kernel(g, record())
 
@@ -428,7 +462,7 @@ class TestTwinScan:
                 source = _class_subsets(g)
                 for size in range(n + 1):
                     expected = [s for s in combinations(range(n), size) if complete or is_class_union(classes, s)]
-                    assert list(source(size)) == expected, (g.edges(), size)
+                    assert list(source(size)) == list(map(mask_of, expected)), (g.edges(), size)
 
     def test_minimum_cuts_and_k1_cuts_of_non_complete_graphs_are_class_unions(self):
         # the lemma behind the walk, on the helpers alone: all labeled graphs on 1-5 vertices

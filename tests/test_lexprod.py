@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import itertools
 import pickle
 import tracemalloc
+from collections import Counter
 from random import Random
 
 import pytest
@@ -428,6 +430,13 @@ class TestLexK1Connectivity:
             ):
                 assert copy == result and hash(copy) == hash(result)
 
+    def test_finite_values_below_64_are_shared(self):
+        first, again = (lex_k1_connectivity(path_graph(6), path_graph(3)) for _ in range(2))
+        assert first.value == ExtendedNat(3) and first.value is again.value
+        # K9 by P8: eight whole rows and P8's first k1 cut, past the shared values
+        large = lex_k1_connectivity(complete_graph(9), path_graph(8))
+        assert large.value == ExtendedNat(65) == len(large.witness) and large.witness[-1] == 66
+
     @settings(max_examples=40, deadline=None)
     @given(graphs(max_n=4, min_n=2), graphs(max_n=3))
     def test_finite_results_always_ship_verified_witnesses(self, g1, g2):
@@ -539,6 +548,30 @@ class TestLexSuperConnected:
                 assert verdict == is_super_connected(lex_product(g1, g2)), (g1.edges(), g2.edges(), branch)
                 checked += 1
         assert checked == 31 * 7 + 10 * 11 + 112 * 3
+
+    def test_answers_are_pinned_and_shared(self):
+        lefts = [g for n in range(1, 6) for g in class_members(n, connected=True)]
+        lefts += [complete_graph(6), k2_plus_k1()]
+        rights = [g for n in range(1, 4) for g in enumerate_labeled_graphs(n)]
+        answers = [lex_super_connected(g1, g2) for g1 in lefts for g2 in rights]
+        assert len(answers) == (31 + 2) * 11
+        assert Counter(answers) == {
+            (False, "complete_left"): 5,
+            (False, "disconnected"): 11,
+            (False, "iso_m1"): 3,
+            (False, "left_not_super"): 15,
+            (False, "part1"): 130,
+            (True, "complete_left"): 61,
+            (True, "iso_m1"): 23,
+            (True, "part3"): 115,
+        }
+        # every answer, in order
+        assert hashlib.sha256(repr(answers).encode()).hexdigest() == (
+            "75a7b365525dbd4bceae6a57585ea8b48073798757e2aef3c25af7656aa33d34"
+        )
+        shared = {}
+        for answer in answers:
+            assert shared.setdefault(answer, answer) is answer
 
     def test_builds_and_scans_no_product(self, monkeypatch):
         def refuse(*args):
