@@ -54,7 +54,8 @@ single vertex. The source takes the least undecided vertex's whole class
 or skips that class: each set taking it comes before each set skipping
 it in lex order, as the two agree below it. A product's right-factor
 copies on two or three vertices always fall into twin classes, so its
-walk is much shorter.
+walk is much shorter. ``_twin_scan`` walks them for a whole CutScan, and
+``_witness_cut`` only as far as the one cut of it that a caller needs.
 """
 
 from __future__ import annotations
@@ -127,6 +128,17 @@ def _isolated_mask(adj_bits, rem: int) -> int:
     return mask
 
 
+def _isolates(adj_bits, rem: int) -> bool:
+    """Whether some vertex of ``rem`` has no neighbour in ``rem``; stops at the first."""
+    r = rem
+    while r:
+        b = r & -r
+        r ^= b
+        if not adj_bits[b.bit_length() - 1] & rem:
+            return True
+    return False
+
+
 def _vertex_cuts(g: Graph, subsets) -> Iterator[tuple[int, int, bool]]:
     """The enumeration kernel: every oracle and predicate here runs on it.
 
@@ -190,7 +202,7 @@ def is_k1_vertex_cut(g: Graph, cut) -> bool:
         raise ValueError("the empty graph has no cuts")
     cut = vertex_set(cut, n=g.n)
     for _, rem, disconnects in _vertex_cuts(g, (_mask(cut),)):
-        return disconnects and not _isolated_mask(g.adj_bits, rem)
+        return disconnects and not _isolates(g.adj_bits, rem)
     return False
 
 
@@ -288,6 +300,14 @@ def _optimal_min_cut(g: Graph, subsets) -> tuple[int, int, int]:
     return first, optimal, fewest
 
 
+def _first_k1_cut(g: Graph, subsets, sizes) -> tuple[int, ...] | None:
+    """The first k1 cut that ``subsets`` draws over ``sizes`` in turn, or
+    None when none of them has one."""
+    hits = _vertex_cuts(g, chain.from_iterable(map(subsets, sizes)))
+    hit = next((cut for cut, rem, apart in hits if apart and not _isolates(g.adj_bits, rem)), None)
+    return None if hit is None else _bits_to_tuple(hit)
+
+
 def _walk(g: Graph, subsets) -> CutScan:
     """The sweep behind ``scan_cuts``, drawing its subsets from ``subsets``.
 
@@ -304,9 +324,7 @@ def _walk(g: Graph, subsets) -> CutScan:
     optimal_cut = kappa_cut if optimal == first else _bits_to_tuple(optimal)
     k1_cut = optimal_cut if optimal_isolated == 0 else None
     if k1_cut is None:
-        hits = _vertex_cuts(g, chain.from_iterable(map(subsets, range(kappa + 1, g.n - 3))))
-        hit = next((cut for cut, rem, apart in hits if apart and not _isolated_mask(g.adj_bits, rem)), None)
-        k1_cut = None if hit is None else _bits_to_tuple(hit)
+        k1_cut = _first_k1_cut(g, subsets, range(kappa + 1, g.n - 3))
     return CutScan(
         kappa=kappa,
         kappa_cut=kappa_cut,
@@ -329,6 +347,19 @@ def _twin_scan(g: Graph) -> CutScan:
     """``scan_cuts``' sweep over the unions of whole twin classes only, with
     the same CutScan."""
     return _walk(g, _class_subsets(g))
+
+
+def _witness_cut(g: Graph, k1: bool, size: int, kappa: int) -> tuple[int, ...] | None:
+    """``_twin_scan(g)``'s kappa_cut, or its k1_cut when ``k1``, from the
+    same class walk stopped at that cut: the first minimum cut, or the
+    first k1 cut over sizes ``kappa`` .. ``size`` (g's connectivity and k1
+    as the caller knows them), which is where ``_walk``'s two passes find
+    it. A smaller k1 cut is returned as found, and None when there is
+    none, so a caller can tell that its size is wrong."""
+    subsets = _class_subsets(g)
+    if not k1:
+        return _bits_to_tuple(next(_min_cuts(g, subsets))[0])
+    return _first_k1_cut(g, subsets, range(kappa, size + 1))
 
 
 def vertex_connectivity_oracle(g: Graph) -> int:

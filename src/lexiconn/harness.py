@@ -25,18 +25,22 @@ cuts belong to that labeling, so only its class invariants are read:
 kappa, k1, the fewest isolated vertices over minimum cuts and super
 connectivity. A factor that is disconnected or complete is recorded
 without a scan, and no rule reads a right factor's own scan. A
-discrepancy's witness is read off a _twin_scan of its own labeled
-product, so reports do not depend on the memo; which subsets a scan
-walks, and how a cut is certified, is left to the cuts module.
+discrepancy's witness is read off its own labeled product, so reports
+do not depend on the memo: cuts._witness_cut walks the same twin-class
+unions as _twin_scan, but only as far as the cut the memo's size
+needs, and returns _twin_scan's cut of that kind. Which subsets a walk
+draws, and how a cut is certified, is left to the cuts module.
 
 Within one verify_theorem call, the verdict on a pair (skipped, agreed,
-or the discrepancy's values and witness size) is kept per pair of
-factor classes, since every input to it is a class invariant, and a
-pair visit is one lookup in its left class's row, keyed by the right
-factor's adjacency and filled from the class-pair verdicts. A repeat
-visit to a discrepant class pair only writes its certificate: it scans
-its labeled product for the witness and names the factors, each labeled
-factor serialized to graph6 once per call.
+or the discrepancy's values, witness size and the product's kappa) is
+kept per pair of factor classes, since every input to it is a class
+invariant, and a pair visit is one lookup in its left class's row,
+keyed by the right factor's adjacency and filled from the class-pair
+verdicts. A new class pair's verdict reads the class keys the loop
+already holds. A repeat visit to a discrepant class pair only writes its
+certificate: it walks its labeled product for the witness and names the
+factors. The family keeps those names, so a sweep serializes each
+labeled factor to graph6 once however many reports name it.
 
 A graph on n <= ENUMERATION_LIMIT vertices is keyed by n and the least
 edge mask, in enumerate_labeled_graphs' bit order, over its relabelings.
@@ -57,7 +61,7 @@ from functools import cache, cached_property
 from random import Random
 from typing import Iterator
 
-from .cuts import CutCertificate, CutScan, _certificate, _twin_scan
+from .cuts import CutCertificate, CutScan, _certificate, _twin_scan, _witness_cut
 from .graphs import ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected
 from .io import parse_graph6, serialize_graph6
 from .lexprod import READINGS, _k1_branch, _k1_rule, _kappa_rule, _super_branch, lex_product
@@ -142,14 +146,18 @@ class InstanceFamily:
     same stream. Either way n1_max * n2_max is capped so the product
     oracles stay tractable.
 
-    A family keeps, for its lifetime, the scan memo of its reports and,
-    when exhaustive, its labeled graphs: one tuple per size shared by both
+    A family keeps, for its lifetime, the scan memo of its reports, the
+    graph6 names of the factors its certificates carry and, when
+    exhaustive, its labeled graphs: one tuple per size shared by both
     sides, so every walk hands out the same Graph objects. Those share
     their adjacency with the process-wide class tables (4.3 MB for n <= 6)
     and take 1.9 MB more for InstanceFamily(6, 4), by tracemalloc; a thm22
-    report over it leaves a memo of 784 scans, about 0.1 MB. Neither is a
-    field: ==, hash and repr see only the parameters, and a new family
-    starts with an empty memo even when it equals an old one.
+    report over it leaves a memo of 784 scans, about 0.1 MB. The names are
+    keyed by those shared adjacency tuples: a cor24 report over it under
+    all_cuts names 15,694 factors in 1.4 MB, and naming all 33,867 would
+    take 3.1 MB. None of these is a field: ==, hash and repr see only the
+    parameters, and a new family starts with empty memos even when it
+    equals an old one.
     """
 
     n1_max: int
@@ -177,6 +185,12 @@ class InstanceFamily:
     @cached_property
     def _scans(self) -> dict[tuple[tuple, tuple | None], CutScan | None]:
         """The scan memo of this family's reports (see _scan)."""
+        return {}
+
+    @cached_property
+    def _names(self) -> dict[tuple[int, ...], str]:
+        """The graph6 string of each labeled factor its reports have named,
+        by the factor's adjacency (see _discrepancy)."""
         return {}
 
     @cached_property
@@ -292,13 +306,13 @@ def _class_key(g: Graph) -> tuple:
     return _class_table(g.n)[g.adj_bits] if g.n <= ENUMERATION_LIMIT else ("labeled", g.adj_bits)
 
 
-def _scan(scans: dict, g1: Graph, g2: Graph | None = None) -> CutScan | None:
-    """The scan in ``scans`` of ``g1``'s class, or of its product with ``g2``'s;
-    its cuts are those of the first labeling visited, so only its
-    invariant fields are read. A factor that is disconnected or complete
-    maps to None: no rule reads its scan, which can walk a number of
-    subsets exponential in its size."""
-    key = (_class_key(g1), _class_key(g2) if g2 is not None else None)
+def _scan(scans: dict, key: tuple, g1: Graph, g2: Graph | None = None) -> CutScan | None:
+    """The scan in ``scans`` of ``g1``'s class, or of its product with ``g2``'s,
+    under ``key``: (``g1``'s class key, ``g2``'s or None). Its cuts are
+    those of the first labeling visited, so only its invariant fields are
+    read. A factor that is disconnected or complete maps to None: no rule
+    reads its scan, which can walk a number of subsets exponential in its
+    size."""
     if key not in scans:
         if g2 is not None:
             scans[key] = _twin_scan(lex_product(g1, g2))
@@ -307,15 +321,15 @@ def _scan(scans: dict, g1: Graph, g2: Graph | None = None) -> CutScan | None:
     return scans[key]
 
 
-def _formula(scans: dict, theorem_id: str, g1: Graph, g2: Graph, reading: str):
-    """The rule's value on (g1, g2), or None when the pair fails the rule's
-    hypotheses: a disconnected left factor, or lexprod's branch for the
-    rule's invariant is not the rule's label."""
+def _formula(scans: dict, theorem_id: str, g1: Graph, g2: Graph, reading: str, keys: tuple[tuple, tuple]):
+    """The rule's value on (g1, g2), whose class keys are ``keys``, or None
+    when the pair fails the rule's hypotheses: a disconnected left factor,
+    or lexprod's branch for the rule's invariant is not the rule's label."""
     invariant, label = _RULES[theorem_id]
     # a complete g1 is complete_left under every invariant, and its memo entry is None
     if label == "complete_left":
         branch = label if is_complete(g1) else None
-    elif (left := _scan(scans, g1)) is None:
+    elif (left := _scan(scans, (keys[0], None), g1)) is None:
         return None
     elif invariant == "kappa":
         branch = "thm21"
@@ -331,19 +345,20 @@ def _formula(scans: dict, theorem_id: str, g1: Graph, g2: Graph, reading: str):
     return _k1_rule(left, g2, reading) if invariant == "k1" else branch == "part3"
 
 
-def _verdict(scans: dict, theorem_id: str, g1: Graph, g2: Graph, reading: str):
-    """None when (g1, g2) fails the rule's hypotheses, True when the rule
-    and the oracle agree, else the discrepancy's facts (formula value,
-    oracle value, witness), where the witness is None when the oracle
-    value is infinite and else (is it a k1 cut, its size, is_minimum).
+def _verdict(scans: dict, theorem_id: str, g1: Graph, g2: Graph, reading: str, keys: tuple[tuple, tuple]):
+    """None when (g1, g2), whose class keys are ``keys``, fails the rule's
+    hypotheses, True when the rule and the oracle agree, else the
+    discrepancy's facts (formula value, oracle value, witness), where the
+    witness is None when the oracle value is infinite and else (is it a k1
+    cut, its size, the product's kappa).
 
     Every part is read from the factors' classes, so the verdict holds for
     every relabeling of either factor.
     """
-    formula = _formula(scans, theorem_id, g1, g2, reading)
+    formula = _formula(scans, theorem_id, g1, g2, reading, keys)
     if formula is None:
         return None
-    pscan, invariant = _scan(scans, g1, g2), _RULES[theorem_id][0]
+    pscan, invariant = _scan(scans, keys, g1, g2), _RULES[theorem_id][0]
     if invariant == "kappa":
         oracle, k1_witness = ExtendedNat(pscan.kappa), False
     elif invariant == "k1":
@@ -357,7 +372,7 @@ def _verdict(scans: dict, theorem_id: str, g1: Graph, g2: Graph, reading: str):
     if k1_witness and not pscan.k1.is_finite:
         return formula, oracle, None
     size = pscan.k1.value if k1_witness else pscan.kappa
-    return formula, oracle, (k1_witness, size, size == pscan.kappa)
+    return formula, oracle, (k1_witness, size, pscan.kappa)
 
 
 def _discrepancy(
@@ -365,22 +380,23 @@ def _discrepancy(
 ) -> DiscrepancyCertificate:
     """The pair's certificate from its verdict's ``facts``.
 
-    The witness is read off _twin_scan of the pair's own labeled product:
-    its kappa_cut for a minimum-cut witness, its k1_cut for a k1 witness,
-    the lex-first cut of its kind and the one scan_cuts finds. A cut that
-    is missing or not of the size the memo proved raises RuntimeError
-    naming the field. ``names`` maps a factor's adjacency to its graph6
-    string; a factor not in it yet is serialized and added.
+    The witness is cuts._witness_cut of the pair's own labeled product:
+    the kappa_cut or k1_cut that _twin_scan, and so scan_cuts, finds
+    there, the lex-first cut of its kind, walked only up to the size the
+    memo proved. A cut that is missing or not of that size raises
+    RuntimeError naming the field. ``names``, the family's in a sweep, maps
+    a factor's adjacency to its graph6 string; a factor not in it yet is
+    serialized and added.
     """
     formula, oracle, witness = facts
     if witness is not None:
-        k1_witness, size, is_minimum = witness
+        k1_witness, size, kappa = witness
         labeled = lex_product(g1, g2)
-        field = "k1_cut" if k1_witness else "kappa_cut"
-        cut = getattr(_twin_scan(labeled), field)
+        cut = _witness_cut(labeled, k1_witness, size, kappa)
         if cut is None or len(cut) != size:
+            field = "k1_cut" if k1_witness else "kappa_cut"
             raise RuntimeError(f"the class memo has no {field} of its size on {serialize_graph6(labeled)}")
-        witness = _certificate(labeled, cut, is_minimum)
+        witness = _certificate(labeled, cut, size == kappa)
     for g in (g1, g2):
         if g.adj_bits not in names:
             names[g.adj_bits] = serialize_graph6(g)
@@ -398,7 +414,7 @@ def _discrepancy(
 def _check(theorem_id: str, g1: Graph, g2: Graph, reading: str):
     """None when (g1, g2) fails the rule's hypotheses, True when the rule
     and the oracle agree, else the pair's DiscrepancyCertificate; it scans afresh."""
-    verdict = _verdict({}, theorem_id, g1, g2, reading)
+    verdict = _verdict({}, theorem_id, g1, g2, reading, (_class_key(g1), _class_key(g2)))
     if verdict is None or verdict is True:
         return verdict
     return _discrepancy(theorem_id, g1, g2, reading, verdict, {})
@@ -426,7 +442,7 @@ def verify_theorem(
     verdicts: dict[tuple[tuple, tuple], object] = {}
     # per left class, each verdict by the right factor's adjacency, which fixes its n
     rows: dict[tuple, dict[tuple[int, ...], object]] = {}
-    names: dict[tuple[int, ...], str] = {}
+    scans, names = family._scans, family._names
     left = None
     for g1, g2 in family.instances():
         # an exhaustive family hands out each left factor for a run of pairs
@@ -438,7 +454,7 @@ def verify_theorem(
         except KeyError:
             key = (left_key, _class_key(g2))
             if key not in verdicts:
-                verdicts[key] = _verdict(family._scans, theorem_id, g1, g2, reading)
+                verdicts[key] = _verdict(scans, theorem_id, g1, g2, reading, key)
             verdict = row[g2.adj_bits] = verdicts[key]
         if verdict is None:
             skipped += 1

@@ -35,6 +35,7 @@ from lexiconn import (
 )
 import lexiconn.harness
 import lexiconn.lexprod
+from lexiconn.cuts import _certificate, _class_subsets, _first_k1_cut, _twin_scan
 from lexiconn.graphs import ExtendedNat
 from lexiconn.harness import THEOREM_IDS, _check, _class_key
 from lexiconn.io import GraphParseError
@@ -147,6 +148,18 @@ def relabeled_graphs(max_n=7):
     )
 
 
+def one_above_a_k1_cut(scan, product):
+    """kappa + 1 for k1, when ``product``, scanned as ``scan``, has k1 equal
+    to kappa and a k1 cut of size kappa + 1 among the unions of its twin
+    classes, which the witness walk draws: a walk of that size alone, or
+    one skipping size kappa, would find a witness."""
+    if scan.k1 != ExtendedNat(scan.kappa):
+        return {}
+    if _first_k1_cut(product, _class_subsets(product), (scan.kappa + 1,)) is None:
+        return {}
+    return {"k1": ExtendedNat(scan.kappa + 1)}
+
+
 class TestClassKey:
     @pytest.mark.parametrize("n,classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
     def test_one_key_per_isomorphism_class(self, n, classes):
@@ -190,6 +203,22 @@ class TestClassKey:
             scan = scan_cuts(product)
             assert cert.witness == cut_certificate(product, scan.k1_cut)
 
+    @pytest.mark.parametrize(
+        "theorem_id,family,witnessed",
+        [("cor24", InstanceFamily(4, 3), 48), ("cor24", InstanceFamily(4, 4), 400), ("thm23", InstanceFamily(6, 2), 7380)],
+        ids=["cor24-4-3", "cor24-4-4", "thm23-6-2"],
+    )
+    def test_bounded_witness_walks_certify_what_a_full_scan_finds(self, theorem_id, family, witnessed):
+        # the witness walk stops at the memo's k1 size; a full class walk of
+        # the same labeled product must give the same certificate
+        report = verify_theorem(theorem_id, family, "all_cuts")
+        certs = [cert for cert in report.discrepancies if cert.witness is not None]
+        assert len(certs) == witnessed
+        for cert in certs:
+            product = lex_product(parse_graph6(cert.g1), parse_graph6(cert.g2))
+            scan = _twin_scan(product)
+            assert cert.witness == _certificate(product, scan.k1_cut, len(scan.k1_cut) == scan.kappa)
+
     @pytest.mark.parametrize("theorem_id", ["thm21", "super_part1", "super_part3"])
     def test_perturbed_rules_witness_every_pair_as_a_full_scan_would(self, theorem_id, monkeypatch):
         # no rule fails on these, so flip each value to reach the kappa_cut
@@ -217,19 +246,32 @@ class TestClassKey:
             assert validate_certificate(rebuilt)
 
     @pytest.mark.parametrize(
-        "theorem_id,wrong_size,field", [("thm21", {"kappa": 0}, "kappa_cut"), ("cor24", {"k1": ExtendedNat(0)}, "k1_cut")]
+        "theorem_id,wrong_size,field",
+        [
+            ("thm21", lambda scan, product: {"kappa": 0}, "kappa_cut"),
+            ("cor24", lambda scan, product: {"k1": ExtendedNat(0)}, "k1_cut"),
+            # the memo's k1 is kappa + 1, the product's is kappa: the walk must start at kappa
+            ("cor24", one_above_a_k1_cut, "k1_cut"),
+        ],
+        # fixed ids, as pytest would name each case by its callable
+        ids=["thm21-wrong_size0-kappa_cut", "cor24-wrong_size1-k1_cut", "cor24-wrong_size2-k1_cut"],
     )
     def test_a_memo_size_with_no_cut_on_the_product_raises(self, theorem_id, wrong_size, field, monkeypatch):
         # every product here is connected, so none has a cut of size 0
         scan = lexiconn.harness._scan
+        wronged = []
 
-        def wrong(scans, g1, g2=None):
-            value = scan(scans, g1, g2)
-            return value if g2 is None else dataclasses.replace(value, **wrong_size)
+        def wrong(scans, key, g1, g2=None):
+            value = scan(scans, key, g1, g2)
+            if g2 is None or not (changes := wrong_size(value, lex_product(g1, g2))):
+                return value
+            wronged.append(key)
+            return dataclasses.replace(value, **changes)
 
         monkeypatch.setattr(lexiconn.harness, "_scan", wrong)
         with pytest.raises(RuntimeError, match=field):
-            verify_theorem(theorem_id, InstanceFamily(4, 2), "all_cuts")
+            verify_theorem(theorem_id, InstanceFamily(4, 3), "all_cuts")
+        assert wronged
 
 
 class TestVerifyTheorem:
@@ -364,14 +406,18 @@ class TestVerifyTheorem:
             "lexiconn.harness._twin_scan": 0,
             "lexiconn.lexprod.scan_cuts": 0,
         }
-        # each witness is read off one scan of its own labeled product
+        # each witness is read off one bounded walk of its own labeled product, not a scan
+        calls["lexiconn.harness._witness_cut"] = 0
+        witness_cut = lexiconn.harness._witness_cut
+        monkeypatch.setattr(lexiconn.harness, "_witness_cut", counting("lexiconn.harness._witness_cut", witness_cut))
         again = verify_theorem("cor24", wide, "all_cuts")
         assert again.canonical_json() == witnessed.canonical_json()
         assert sum(cert.witness is not None for cert in again.discrepancies) == 48
         assert calls == {
             "lexiconn.harness.lex_product": 48,
-            "lexiconn.harness._twin_scan": 48,
+            "lexiconn.harness._twin_scan": 0,
             "lexiconn.lexprod.scan_cuts": 0,
+            "lexiconn.harness._witness_cut": 48,
         }
 
     def test_verdicts_are_derived_once_per_class_pair(self, monkeypatch):
@@ -379,9 +425,10 @@ class TestVerifyTheorem:
         verdict = lexiconn.harness._verdict
         derived = []
 
-        def counting(scans, theorem_id, g1, g2, reading):
-            derived.append((_class_key(g1), _class_key(g2)))
-            return verdict(scans, theorem_id, g1, g2, reading)
+        def counting(scans, theorem_id, g1, g2, reading, keys):
+            assert keys == (_class_key(g1), _class_key(g2))
+            derived.append(keys)
+            return verdict(scans, theorem_id, g1, g2, reading, keys)
 
         monkeypatch.setattr(lexiconn.harness, "_verdict", counting)
         report = verify_theorem("cor24", family, "all_cuts")
@@ -423,16 +470,20 @@ class TestVerifyTheorem:
             shared = verify_theorem(theorem_id, family, reading)
             assert shared.canonical_json() == verify_theorem(theorem_id, InstanceFamily(4, 3), reading).canonical_json()
 
-    def test_each_factor_is_named_once_per_report(self, monkeypatch):
+    def test_each_factor_is_named_once_per_family(self, monkeypatch):
         calls = []
         serialize = lexiconn.harness.serialize_graph6
         monkeypatch.setattr(lexiconn.harness, "serialize_graph6", lambda g: calls.append(g) or serialize(g))
-        report = verify_theorem("cor24", InstanceFamily(4, 3), "all_cuts")
+        family = InstanceFamily(4, 3)
+        report = verify_theorem("cor24", family, "all_cuts")
         assert len(report.discrepancies) == 168
         # two factors per certificate, but only 46 distinct labeled factors among them
         names = {c.g1 for c in report.discrepancies} | {c.g2 for c in report.discrepancies}
         assert len(calls) == len(names) == 46
-        # a second report names its factors afresh
+        # a second report on the same family object reads its names
+        assert verify_theorem("cor24", family, "all_cuts").canonical_json() == report.canonical_json()
+        assert len(calls) == 46
+        # a new, equal family names its factors afresh
         verify_theorem("cor24", InstanceFamily(4, 3), "all_cuts")
         assert len(calls) == 92
 
@@ -694,12 +745,13 @@ class TestRuleTable:
         branches = {invariant: set() for invariant, _ in lexiconn.harness._RULES.values()}
         scans = {}
         for g1, g2 in pairs:
+            keys = (_class_key(g1), _class_key(g2))
             for theorem_id, (invariant, label) in lexiconn.harness._RULES.items():
                 branch = _lexprod_branch(invariant, g1, g2)
                 branches[invariant].add(branch)
                 # a fallback answer does not name the rule whose witness failed
                 if branch != "oracle_fallback":
-                    checked = lexiconn.harness._formula(scans, theorem_id, g1, g2, "min_cuts_only") is not None
+                    checked = lexiconn.harness._formula(scans, theorem_id, g1, g2, "min_cuts_only", keys) is not None
                     assert checked == (branch == label), (theorem_id, g1.edges(), g2.edges())
         for invariant, label in lexiconn.harness._RULES.values():
             assert label in branches[invariant], label
