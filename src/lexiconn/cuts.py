@@ -26,10 +26,13 @@ most n - 1), as fewer removed vertices never disconnect a graph of least
 degree delta (Chartrand and Harary, 1968).
 ``scan_cuts`` is the per-graph record: one call gives kappa and the first
 minimum cut, k1 and the first k1 cut, and the first minimum cut leaving
-the fewest isolated vertices with that count. It and
-``is_super_connected`` read ``_optimal_min_cut``, one walk of the minimum
-cuts that stops at the first one isolating nobody; only when none does
-are the larger sizes walked for a k1 cut.
+the fewest isolated vertices with that count. It reads
+``_optimal_min_cut``, one walk of the minimum cuts that stops at the
+first one isolating nobody; only when none does are the larger sizes
+walked for a k1 cut. ``_min_cuts_isolate``, which ``is_super_connected``
+and ``lexprod`` read, is that walk asking only whether each cut isolates
+a vertex. ``_is_k1_cut`` tests one subset mask, for ``is_k1_vertex_cut``
+and ``lexprod``'s lifted witnesses.
 
 The walk draws its subsets from a subset source, a function from a size
 to the subsets of that size to try, in lex order. A subset is a bitmask,
@@ -196,14 +199,18 @@ def is_vertex_cut(g: Graph, cut) -> bool:
     return next(_vertex_cuts(g, (_mask(cut),)), None) is not None
 
 
+def _is_k1_cut(g: Graph, mask: int) -> bool:
+    """Whether removing the vertices of ``mask`` disconnects ``g`` without isolating anyone."""
+    for _, rem, disconnects in _vertex_cuts(g, (mask,)):
+        return disconnects and not _isolates(g.adj_bits, rem)
+    return False
+
+
 def is_k1_vertex_cut(g: Graph, cut) -> bool:
     """True when removing ``cut`` disconnects ``g`` without isolating anyone."""
     if g.n == 0:
         raise ValueError("the empty graph has no cuts")
-    cut = vertex_set(cut, n=g.n)
-    for _, rem, disconnects in _vertex_cuts(g, (_mask(cut),)):
-        return disconnects and not _isolates(g.adj_bits, rem)
-    return False
+    return _is_k1_cut(g, _mask(vertex_set(cut, n=g.n)))
 
 
 def cut_certificate(g: Graph, cut) -> CutCertificate:
@@ -390,9 +397,9 @@ def is_super_connected(g: Graph) -> bool:
     """
     if g.n == 0:
         raise ValueError("super connectivity of the empty graph is undefined")
-    if not is_connected(g):
-        return False
-    if is_complete(g):
-        return True
-    # some minimum cut isolates nobody exactly when the fewest isolated is 0
-    return _optimal_min_cut(g, _lex_subsets(g))[2] > 0
+    return is_connected(g) and (is_complete(g) or _min_cuts_isolate(g))
+
+
+def _min_cuts_isolate(g: Graph) -> bool:
+    """Whether every minimum cut of ``g`` isolates a vertex; stops at the first that does not."""
+    return all(_isolates(g.adj_bits, rem) for _, rem, _ in _min_cuts(g, _lex_subsets(g)))

@@ -276,14 +276,17 @@ def vertex_connectivity(g: Graph) -> int:
     vertex-split network of bitmasks, built once per call and shared by
     every pair; the augmenting-path searches run on those bitmasks.
 
-    The minimum over s-t flows with a pair strategy that fixes a
-    minimum-degree vertex v and takes the minimum cut between v and each
-    of its non-neighbors, and between each neighbor of v and that
-    neighbor's non-neighbors. Any minimum cut misses v or misses some
-    neighbor of v, so one of these pairs straddles it. The best cut
-    starts at the minimum degree delta, as kappa <= delta, and each
-    pair's flow stops at the best cut so far. So a disconnected graph
-    and K1 give 0, and K_n, with no pair, gives n - 1.
+    The minimum over s-t flows for the pairs of Esfahanian and Hakimi
+    ("On computing the connectivities of graphs and digraphs", Networks
+    14, 1984): a minimum-degree vertex v with each non-neighbour, and each
+    two non-adjacent neighbours of v, at most (n - 1 - delta) + C(delta, 2)
+    flows. Each flow is at least kappa, and some pair straddles each
+    minimum cut S of a non-complete graph: if S misses v, a vertex outside
+    v's piece of G - S is a non-neighbour of v; else v has neighbours in
+    two pieces, as S - v would otherwise still cut one off, and those two
+    are non-adjacent. Each pair's flow stops at the best cut so far, which
+    starts at the minimum degree delta (kappa <= delta). So a disconnected
+    graph and K1 give 0, and K_n, with no pair, gives n - 1.
     """
     if g.n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
@@ -292,9 +295,11 @@ def vertex_connectivity(g: Graph) -> int:
     bits = g.adj_bits
     net = [1 << v for v in range(g.n, 2 * g.n)] + list(bits)
     v = min(range(g.n), key=lambda u: bits[u].bit_count())
-    best = bits[v].bit_count()
-    for s in (v, *_bits_to_tuple(bits[v])):
-        for t in range(g.n):
-            if t != s and not bits[s] >> t & 1:
-                best = _disjoint_paths(net, s, t, best)
+    nbrs = bits[v]
+    best = nbrs.bit_count()
+    for t in _bits_to_tuple(((1 << g.n) - 1) ^ nbrs ^ (1 << v)):
+        best = _disjoint_paths(net, v, t, best)
+    for s in _bits_to_tuple(nbrs):
+        for t in _bits_to_tuple(nbrs & ~bits[s] & -(2 << s)):  # t > s, so each pair once
+            best = _disjoint_paths(net, s, t, best)
     return best

@@ -67,7 +67,9 @@ from dataclasses import dataclass
 
 from .cuts import (
     CutScan,
-    is_k1_vertex_cut,
+    _is_k1_cut,
+    _isolated_mask,
+    _min_cuts_isolate,
     is_super_connected,
     is_vertex_cut,
     scan_cuts,
@@ -152,21 +154,19 @@ def lift_k1_cut(g1: Graph, g2: Graph, cut) -> tuple[int, ...]:
     cut = vertex_set(cut, n=g1.n)
     if not is_vertex_cut(g1, cut):
         raise ValueError("lift_k1_cut requires a vertex cut of the left factor")
-    return _lift(g1, g2, cut)
+    return _bits_to_tuple(_lift(g1, g2.n, _isolated_mask(g2.adj_bits, (1 << g2.n) - 1), cut))
 
 
-def _lift(g1: Graph, g2: Graph, cut: tuple[int, ...]) -> tuple[int, ...]:
-    """``lift_k1_cut`` of a vertex cut of ``g1`` on row masks, unchecked."""
-    m = g2.n
+def _lift(g1: Graph, m: int, isolated: int, cut: tuple[int, ...]) -> int:
+    """``lift_k1_cut``'s mask, unchecked; the right factor has ``m`` vertices and isolated-vertex mask ``isolated``."""
     cut_mask = sum(1 << x for x in cut)
-    isolated_mask = sum(1 << j for j in isolated_vertices(g2))
     lifted = 0
     for x, nbrs in enumerate(g1.adj_bits):
         if cut_mask >> x & 1:
             lifted |= ((1 << m) - 1) << x * m
         elif not nbrs & ~cut_mask:
-            lifted |= isolated_mask << x * m
-    return _bits_to_tuple(lifted)
+            lifted |= isolated << x * m
+    return lifted
 
 
 def _kappa_rule(n1: int, kappa1: int, g2: Graph) -> int:
@@ -251,11 +251,14 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
         value = right.k1 if witness is None else _k1_value(len(witness))
         return LexK1Result(value=value, branch="complete_left", witness=witness)
     left = scan_cuts(g1)
+    isolated = _isolated_mask(g2.adj_bits, (1 << m) - 1)
     # a k1 cut strands no row, so its lift is its rows; min keeps the
-    # first of equal lengths, so a tie goes to the rows
-    witness = min((_lift(g1, g2, c) for c in (left.k1_cut, left.optimal_cut) if c is not None), key=len)
+    # first of equal sizes, so a tie goes to the rows
+    cuts = (c for c in (left.k1_cut, left.optimal_cut) if c is not None)
+    lifted = min((_lift(g1, m, isolated, c) for c in cuts), key=int.bit_count)
     product = g1 if m == 1 else lex_product(g1, g2)
-    if is_k1_vertex_cut(product, witness):
+    if _is_k1_cut(product, lifted):
+        witness = _bits_to_tuple(lifted)
         return LexK1Result(value=_k1_value(len(witness)), branch=_k1_branch(left), witness=witness)
     scan = left if m == 1 else scan_cuts(product)
     return LexK1Result(value=scan.k1, branch="oracle_fallback", witness=scan.k1_cut)
@@ -302,5 +305,5 @@ def lex_super_connected(g1: Graph, g2: Graph) -> tuple[bool, str]:
         verdict = is_super_connected(g2) if is_connected(g2) else g1.n > 1 and bool(isolated_vertices(g2))
         return _SUPER_ANSWERS[verdict, "complete_left"]
     # the left factor's minimum-cut walk runs only when the verdict can be True
-    verdict = bool(isolated_vertices(g2)) and is_super_connected(g1)
+    verdict = bool(isolated_vertices(g2)) and _min_cuts_isolate(g1)
     return _SUPER_ANSWERS[verdict, _super_branch(g2, verdict)]

@@ -1,4 +1,5 @@
 import operator
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -22,11 +23,13 @@ from lexiconn import (
     lift_min_cut,
     min_degree,
     path_graph,
+    random_graph,
     star_graph,
     vertex_connectivity,
     vertex_connectivity_oracle,
     vertex_set,
 )
+import lexiconn.graphs
 
 
 def graphs(max_n=7, min_n=1):
@@ -286,3 +289,28 @@ class TestVertexConnectivity:
         for n in range(1, 7):
             for g in enumerate_labeled_graphs(n):
                 assert vertex_connectivity(g) == vertex_connectivity_oracle(g), g.edges()
+
+
+class TestEsfahanianHakimiPairs:
+    """``vertex_connectivity`` past Hypothesis' 7 vertices, and its flow count."""
+
+    @staticmethod
+    def graphs():
+        # 20 graphs for each size 8..12 and each edge probability
+        return [random_graph(8 + i % 5, (0.3, 0.5, 0.7)[i % 3], seed=i) for i in range(300)]
+
+    def test_matches_enumeration_oracle_on_random_graphs(self):
+        for g in self.graphs():
+            assert vertex_connectivity(g) == vertex_connectivity_oracle(g), g.edges()
+
+    def test_flows_only_the_pairs_of_a_minimum_degree_vertex(self, monkeypatch):
+        # v against its n - 1 - delta non-neighbours, and the non-adjacent
+        # pairs among its delta neighbours
+        flows = []
+        real = lexiconn.graphs._disjoint_paths
+        monkeypatch.setattr(lexiconn.graphs, "_disjoint_paths", lambda *args: flows.append(args) or real(*args))
+        for g in self.graphs():
+            flows.clear()
+            vertex_connectivity(g)
+            delta = min_degree(g)
+            assert len(flows) <= (g.n - 1 - delta) + comb(delta, 2), g.edges()

@@ -28,6 +28,7 @@ from lexiconn import (
     is_k1_vertex_cut,
     is_super_connected,
     is_vertex_cut,
+    isolated_vertices,
     k1_connectivity,
     lex_connectivity,
     lex_k1_connectivity,
@@ -173,7 +174,9 @@ class TestLiftMinCut:
                 assert len(lifted) == len(combo) * g2.n
                 assert is_vertex_cut(product, lifted)
                 # the public lift validates, then runs the one mask lift
-                assert lift_k1_cut(g1, g2, combo) == lexiconn.lexprod._lift(g1, g2, combo)
+                isolated = sum(1 << j for j in isolated_vertices(g2))
+                mask = lexiconn.lexprod._lift(g1, g2.n, isolated, combo)
+                assert lift_k1_cut(g1, g2, combo) == tuple(v for v in range(product.n) if mask >> v & 1)
 
 
 class TestLiftK1Cut:
@@ -408,6 +411,27 @@ class TestLexK1Connectivity:
     def test_disconnected_left_factor_rejected(self):
         with pytest.raises(ValueError):
             lex_k1_connectivity(disjoint_union(complete_graph(2), empty_graph(1)), complete_graph(2))
+
+    def test_answers_are_pinned(self):
+        lefts = [g for n in range(1, 6) for g in class_members(n, connected=True)]
+        lefts += [complete_graph(6)]
+        rights = [g for n in range(1, 4) for g in enumerate_labeled_graphs(n)]
+        for g2 in rights:
+            with pytest.raises(ValueError):
+                lex_k1_connectivity(k2_plus_k1(), g2)
+        answers = [lex_k1_connectivity(g1, g2) for g1 in lefts for g2 in rights]
+        assert len(answers) == (31 + 1) * 11
+        assert Counter(answer.branch for answer in answers) == {
+            "complete_left": 66,
+            "cor24": 184,
+            "oracle_fallback": 69,
+            "thm22": 33,
+        }
+        # every (value, branch, witness), in order
+        rows = [(answer.value, answer.branch, answer.witness) for answer in answers]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "100f5b4c26936aaaf3f7a17db6c6c748286c66f617e3cca0cba0f985ce21e0b8"
+        )
 
     def test_json_round_trip(self):
         result = lex_k1_connectivity(path_graph(6), path_graph(3))
