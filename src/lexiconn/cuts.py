@@ -13,7 +13,8 @@ isolation-free cut, called a k1 cut throughout, is a vertex cut whose
 removal disconnects the graph and leaves no isolated vertices; the least
 size of such a cut is the k1 connectivity, infinite when no such cut
 exists. A graph is super connected when every minimum vertex cut isolates
-some vertex.
+some vertex: it is connected and the fewest isolated vertices a minimum
+cut leaves is positive (1 for K_n, whose minimum cuts leave one vertex).
 
 Every oracle and predicate here runs on one private kernel,
 ``_vertex_cuts``, which holds the module's only flood fill; the flood
@@ -29,10 +30,10 @@ minimum cut, k1 and the first k1 cut, and the first minimum cut leaving
 the fewest isolated vertices with that count. It reads
 ``_optimal_min_cut``, one walk of the minimum cuts that stops at the
 first one isolating nobody; only when none does are the larger sizes
-walked for a k1 cut. ``_min_cuts_isolate``, which ``is_super_connected``
-and ``lexprod`` read, is that walk asking only whether each cut isolates
-a vertex. ``_is_k1_cut`` tests one subset mask, for ``is_k1_vertex_cut``
-and ``lexprod``'s lifted witnesses.
+walked for a k1 cut. ``_fewest_isolated``, which ``is_super_connected``
+and ``lexprod`` read, is that walk's count alone. ``_is_k1_cut`` tests
+one subset mask, for ``is_k1_vertex_cut`` and ``lexprod``'s lifted
+witnesses.
 
 The walk draws its subsets from a subset source, a function from a size
 to the subsets of that size to try, in lex order. A subset is a bitmask,
@@ -108,7 +109,7 @@ class CutScan:
     vertex cut; ``k1`` and ``k1_cut`` the isolation-free counterparts,
     with ``k1_cut`` None when ``k1`` is infinite; ``optimal_cut`` is the first
     minimum cut leaving the fewest isolated vertices, ``optimal_isolated`` that count.
-    ``super_connected`` is what ``is_super_connected`` says of the graph.
+    ``super_connected``: the graph is connected (kappa > 0, or K1) and ``optimal_isolated`` > 0.
     """
 
     kappa: int
@@ -214,7 +215,8 @@ def is_k1_vertex_cut(g: Graph, cut) -> bool:
 
 
 def cut_certificate(g: Graph, cut) -> CutCertificate:
-    """Populate every observation flag for ``cut`` on ``g``; is_minimum runs the oracle."""
+    """Populate every observation flag for ``cut`` on ``g``; is_minimum runs the oracle.
+    Unused in the package, but public: a cut's observed effect, read by the demos."""
     cut = vertex_set(cut, n=g.n)
     return _certificate(g, cut, is_minimum=len(cut) == vertex_connectivity_oracle(g))
 
@@ -375,13 +377,15 @@ def vertex_connectivity_oracle(g: Graph) -> int:
 
 
 def k1_connectivity(g: Graph) -> ExtendedNat:
-    """Least size of an isolation-free cut, INFINITY when none exists."""
+    """Least size of an isolation-free cut, INFINITY when none exists.
+    Unused in the package, but public: the paper's k1, read by the demos and the benchmark."""
     return scan_cuts(g).k1
 
 
 def enumerate_min_vertex_cuts(g: Graph) -> list[CutCertificate]:
     """All minimum vertex cuts of a connected non-complete graph, in
-    lexicographic order, each with fully populated flags."""
+    lexicographic order, each with fully populated flags. Unused in the
+    package, but public: the paper's evidence for super connectivity, read by the demos."""
     if not is_connected(g):
         raise ValueError("minimum-cut enumeration requires a connected graph")
     if is_complete(g):
@@ -390,16 +394,16 @@ def enumerate_min_vertex_cuts(g: Graph) -> list[CutCertificate]:
 
 
 def is_super_connected(g: Graph) -> bool:
-    """Every minimum vertex cut isolates a vertex.
+    """Every minimum vertex cut isolates a vertex: connected and ``_fewest_isolated(g) > 0``.
 
     Disconnected graphs are not super connected by convention; complete
-    graphs are, since their only cuts shrink the graph to one vertex.
+    graphs are, as every minimum cut of K_n leaves one isolated vertex.
     """
     if g.n == 0:
         raise ValueError("super connectivity of the empty graph is undefined")
-    return is_connected(g) and (is_complete(g) or _min_cuts_isolate(g))
+    return is_connected(g) and _fewest_isolated(g) > 0
 
 
-def _min_cuts_isolate(g: Graph) -> bool:
-    """Whether every minimum cut of ``g`` isolates a vertex; stops at the first that does not."""
-    return all(_isolates(g.adj_bits, rem) for _, rem, _ in _min_cuts(g, _lex_subsets(g)))
+def _fewest_isolated(g: Graph) -> int:
+    """``_optimal_min_cut``'s count: the fewest isolated vertices a minimum cut of ``g`` leaves."""
+    return _optimal_min_cut(g, _lex_subsets(g))[2]

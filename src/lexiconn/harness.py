@@ -12,9 +12,10 @@ factors and compares, rather than rechecking it field by field.
 
 The rules are one table, _RULES, from rule id to the product invariant
 it predicts ("kappa", "k1" or "super") and the branch label lexprod
-gives the pairs it covers: a pair is checked exactly when lexprod's
-branch for the rule's invariant is the rule's label. Only the k1 rules
-read ``reading``, which picks one of two readings of the isolation count.
+gives the pairs it covers: lexprod's rule for the invariant returns
+(value, branch), and a pair is checked against that value exactly when
+the branch is the label. Only the k1 rules read ``reading``, which picks
+one of two readings of the isolation count.
 
 Each InstanceFamily memoizes cut scans while it lives, keyed by the
 isomorphism classes of the factors, because the reports of a sweep share
@@ -64,7 +65,7 @@ from typing import Iterator
 from .cuts import CutCertificate, CutScan, _certificate, _twin_scan, _witness_cut
 from .graphs import ExtendedNat, Graph, _bits_to_tuple, is_complete, is_connected
 from .io import parse_graph6, serialize_graph6
-from .lexprod import READINGS, _k1_branch, _k1_rule, _kappa_rule, _super_branch, lex_product
+from .lexprod import READINGS, _k1_rule, _kappa_rule, _super_rule, lex_product
 
 _RULES = {
     "thm21": ("kappa", "thm21"),
@@ -324,25 +325,22 @@ def _scan(scans: dict, key: tuple, g1: Graph, g2: Graph | None = None) -> CutSca
 def _formula(scans: dict, theorem_id: str, g1: Graph, g2: Graph, reading: str, keys: tuple[tuple, tuple]):
     """The rule's value on (g1, g2), whose class keys are ``keys``, or None
     when the pair fails the rule's hypotheses: a disconnected left factor,
-    or lexprod's branch for the rule's invariant is not the rule's label."""
+    or the branch that lexprod's rule returns with its value is not the rule's label."""
     invariant, label = _RULES[theorem_id]
     # a complete g1 is complete_left under every invariant, and its memo entry is None
-    if label == "complete_left":
-        branch = label if is_complete(g1) else None
-    elif (left := _scan(scans, (keys[0], None), g1)) is None:
+    if label == "complete_left" and is_complete(g1):
+        value, branch = _kappa_rule(g1.n, g1.n - 1, g2)
+    elif label == "complete_left" or (left := _scan(scans, (keys[0], None), g1)) is None:
         return None
     elif invariant == "kappa":
-        branch = "thm21"
+        value, branch = _kappa_rule(g1.n, left.kappa, g2)
     elif invariant == "k1":
-        branch = _k1_branch(left)
+        value, branch = _k1_rule(left, g2, reading)
     else:
-        branch = _super_branch(g2, left.super_connected)
+        value, branch = _super_rule(g2, left.super_connected)
     if branch != label:
         return None
-    if invariant == "kappa":
-        return ExtendedNat(_kappa_rule(g1.n, g1.n - 1 if branch == "complete_left" else left.kappa, g2))
-    # of the super branches, only part3 predicts a super connected product
-    return _k1_rule(left, g2, reading) if invariant == "k1" else branch == "part3"
+    return ExtendedNat(value) if invariant == "kappa" else value
 
 
 def _verdict(scans: dict, theorem_id: str, g1: Graph, g2: Graph, reading: str, keys: tuple[tuple, tuple]):

@@ -11,7 +11,10 @@ or more left vertices the product is connected exactly when the left
 factor is (K1 by G2 is G2); it is not commutative in general.
 
 Closed-form rules implemented here, each labeled by the branch string it
-reports:
+reports. Each rule is one private function returning (value, branch), in
+lex_super_connected's order, which the lex_* functions and the harness
+both read; ``_kappa_rule``'s branch means nothing for a disconnected left
+factor, where the value is 0.
 
 * connectivity of the product: kappa(left) * m for connected non-complete
   left factors, and (n - 1) * m + kappa(right) when the left factor is
@@ -29,15 +32,15 @@ reports:
   left factor gives "complete_left".
 
 Every finite k1 answer attaches a witness cut built by lifting factor
-cuts into the product. Under a non-complete left factor the value is the
-witness's size, which is what the matching rule gives, once the witness
-checks out on the product; otherwise the answer comes from the
-brute-force oracle, labeled "oracle_fallback" (a k1-only label). As G1
-by K1 is G1, there the witness is checked on G1 and a fallback reads the
-left factor's scan. The check cannot fail when the right factor has an
-edge. Lift a disconnecting cut C of the left factor: each row outside C
-that C does not strand has a neighbour row outside C, so no copy in it
-is isolated; each stranded row keeps the right factor minus its isolated
+cuts into the product. Under a non-complete left factor the answer is the
+rule's value when the witness has exactly that many vertices and checks
+out on the product; otherwise the answer comes from the brute-force
+oracle, labeled "oracle_fallback" (a k1-only label). As G1 by K1 is G1,
+there the witness is checked on G1 and a fallback reads the left
+factor's scan. The check cannot fail when the right factor has an edge.
+Lift a disconnecting cut C of the left factor: each row outside C that C
+does not strand has a neighbour row outside C, so no copy in it is
+isolated; each stranded row keeps the right factor minus its isolated
 vertices, non-empty and isolation-free; and G1 - C is disconnected, so
 two pieces remain. Only an edgeless right factor E_m falls back, and
 there k1(G1 by E_m) = m k1(G1) for every G1, infinite when k1(G1) is.
@@ -67,10 +70,9 @@ from dataclasses import dataclass
 
 from .cuts import (
     CutScan,
+    _fewest_isolated,
     _is_k1_cut,
     _isolated_mask,
-    _min_cuts_isolate,
-    is_super_connected,
     is_vertex_cut,
     scan_cuts,
 )
@@ -132,6 +134,7 @@ def lift_min_cut(cut, m: int) -> tuple[int, ...]:
     """Lift a left-factor cut to the product: every copy of each cut vertex.
 
     The result is the rows of the cut in the flat indexing, size |cut| * m.
+    Unused in the package, but public: the lifted cut behind "thm21", read by the demos.
     """
     if m < 1:
         raise ValueError("right factor must have at least one vertex")
@@ -169,13 +172,14 @@ def _lift(g1: Graph, m: int, isolated: int, cut: tuple[int, ...]) -> int:
     return lifted
 
 
-def _kappa_rule(n1: int, kappa1: int, g2: Graph) -> int:
-    """Connectivity of a product whose left factor has n1 vertices and
-    connectivity ``kappa1``: the left factor is complete exactly when
-    kappa1 = n1 - 1 (K1 included), and only then is kappa(g2) computed."""
+def _kappa_rule(n1: int, kappa1: int, g2: Graph) -> tuple[int, str]:
+    """(connectivity, branch) of a product whose left factor has n1
+    vertices and connectivity ``kappa1``: the left factor is complete
+    exactly when kappa1 = n1 - 1 (K1 included), and only then is kappa(g2)
+    computed. A disconnected left factor gives 0, under a meaningless "thm21"."""
     if kappa1 == n1 - 1:
-        return (n1 - 1) * g2.n + vertex_connectivity(g2)
-    return kappa1 * g2.n
+        return (n1 - 1) * g2.n + vertex_connectivity(g2), "complete_left"
+    return kappa1 * g2.n, "thm21"
 
 
 def lex_connectivity(g1: Graph, g2: Graph) -> int:
@@ -187,34 +191,7 @@ def lex_connectivity(g1: Graph, g2: Graph) -> int:
     """
     if g1.n == 0 or g2.n == 0:
         raise ValueError("product factors must be non-empty")
-    return _kappa_rule(g1.n, vertex_connectivity(g1), g2)
-
-
-def _k1_branch(left: CutScan) -> str:
-    """The k1 rule a left factor with scan ``left`` falls under."""
-    if left.k1 == left.kappa:
-        return "thm22"
-    return "thm23" if left.k1.is_finite else "cor24"
-
-
-def _k1_rule(left: CutScan, g2: Graph, reading: str) -> ExtendedNat:
-    """The k1 rule's value for a product whose connected non-complete left
-    factor has scan ``left``. The isolation count is the fewest isolated
-    vertices over the left factor's minimum cuts under "min_cuts_only",
-    over its cuts of every size under "all_cuts"."""
-    branch = _k1_branch(left)
-    m = g2.n
-    if branch == "thm22":
-        return ExtendedNat(left.kappa * m)
-    if reading == "min_cuts_only":
-        c = left.optimal_isolated
-    else:
-        # over cuts of every size: 0 via a k1 cut, else 1 by removing n - 1 vertices
-        c = 0 if left.k1.is_finite else 1
-    value = left.kappa * m + c * len(isolated_vertices(g2))
-    if branch == "thm23":
-        value = min(left.k1.value * m, value)
-    return ExtendedNat(value)
+    return _kappa_rule(g1.n, vertex_connectivity(g1), g2)[0]
 
 
 # the finite k1 values below 64, each one shared ExtendedNat, so a caller
@@ -227,6 +204,25 @@ def _k1_value(size: int) -> ExtendedNat:
     return _K1_VALUES[size] if size < len(_K1_VALUES) else ExtendedNat(size)
 
 
+def _k1_rule(left: CutScan, g2: Graph, reading: str) -> tuple[ExtendedNat, str]:
+    """(shared ``_k1_value``, branch) of a product whose connected non-complete
+    left factor has scan ``left``. The isolation count is the fewest isolated
+    vertices over the left factor's minimum cuts under "min_cuts_only", over
+    its cuts of every size under "all_cuts"."""
+    m = g2.n
+    if left.k1 == left.kappa:
+        return _k1_value(left.kappa * m), "thm22"
+    if reading == "min_cuts_only":
+        c = left.optimal_isolated
+    else:
+        # over cuts of every size: 0 via a k1 cut, else 1 by removing n - 1 vertices
+        c = 0 if left.k1.is_finite else 1
+    value = left.kappa * m + c * len(isolated_vertices(g2))
+    if left.k1.is_finite:
+        return _k1_value(min(left.k1.value * m, value)), "thm23"
+    return _k1_value(value), "cor24"
+
+
 def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     """k1 connectivity of the product, closed form first, oracle as backstop.
 
@@ -235,9 +231,9 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
     answer is exact, builds no product, and is witnessed by those cuts.
     For connected non-complete left factors the witness is the shorter
     lift_k1_cut of a minimum k1 cut, when there is one, and of an optimal
-    minimum cut; its size is the matching rule's value. It must check out
-    as a k1 cut of the product, as it does whenever the right factor has
-    an edge; otherwise the product is scanned by brute force, except
+    minimum cut. It must have ``_k1_rule``'s value in vertices, and check
+    out as a k1 cut of the product, as it does whenever the right factor
+    has an edge; otherwise the product is scanned by brute force, except
     G1 by K1, which is G1 and reuses the left scan.
     """
     if g1.n == 0 or g2.n == 0:
@@ -251,15 +247,15 @@ def lex_k1_connectivity(g1: Graph, g2: Graph) -> LexK1Result:
         value = right.k1 if witness is None else _k1_value(len(witness))
         return LexK1Result(value=value, branch="complete_left", witness=witness)
     left = scan_cuts(g1)
+    value, branch = _k1_rule(left, g2, "min_cuts_only")
     isolated = _isolated_mask(g2.adj_bits, (1 << m) - 1)
     # a k1 cut strands no row, so its lift is its rows; min keeps the
     # first of equal sizes, so a tie goes to the rows
     cuts = (c for c in (left.k1_cut, left.optimal_cut) if c is not None)
     lifted = min((_lift(g1, m, isolated, c) for c in cuts), key=int.bit_count)
     product = g1 if m == 1 else lex_product(g1, g2)
-    if _is_k1_cut(product, lifted):
-        witness = _bits_to_tuple(lifted)
-        return LexK1Result(value=_k1_value(len(witness)), branch=_k1_branch(left), witness=witness)
+    if value == lifted.bit_count() and _is_k1_cut(product, lifted):
+        return LexK1Result(value=value, branch=branch, witness=_bits_to_tuple(lifted))
     scan = left if m == 1 else scan_cuts(product)
     return LexK1Result(value=scan.k1, branch="oracle_fallback", witness=scan.k1_cut)
 
@@ -273,16 +269,16 @@ _SUPER_ANSWERS = {
 }
 
 
-def _super_branch(g2: Graph, left_super: bool) -> str:
-    """The super rule for a connected non-complete left factor; reads
-    ``left_super`` only when ``g2`` has an isolated vertex."""
+def _super_rule(g2: Graph, left_super: bool) -> tuple[bool, str]:
+    """The shared ``_SUPER_ANSWERS`` (verdict, branch) for a connected non-complete
+    left factor; reads ``left_super`` only when ``g2`` has an isolated vertex."""
     if g2.n == 1:
-        return "iso_m1"
+        return _SUPER_ANSWERS[left_super, "iso_m1"]
     if is_connected(g2):
-        return "part1"
+        return _SUPER_ANSWERS[False, "part1"]
     if not isolated_vertices(g2):
-        return "part2"
-    return "part3" if left_super else "left_not_super"
+        return _SUPER_ANSWERS[False, "part2"]
+    return _SUPER_ANSWERS[left_super, "part3" if left_super else "left_not_super"]
 
 
 def lex_super_connected(g1: Graph, g2: Graph) -> tuple[bool, str]:
@@ -295,15 +291,16 @@ def lex_super_connected(g1: Graph, g2: Graph) -> tuple[bool, str]:
     vertex exactly when its left cut isolates a vertex whose copy is an
     isolated vertex of the right factor. A complete left factor on n1
     vertices joins n1 copies of the right factor, so a minimum cut is
-    n1 - 1 whole copies plus a minimum cut of the last copy.
+    n1 - 1 whole copies plus a minimum cut of the last copy, isolating what
+    that cut isolates in g2; the product is connected when n1 > 1 or g2 is.
+    A disconnected g2's only minimum cut is the empty set.
     """
     if g1.n == 0 or g2.n == 0:
         raise ValueError("product factors must be non-empty")
     if not is_connected(g1):
         return _SUPER_ANSWERS[False, "disconnected"]
     if is_complete(g1):
-        verdict = is_super_connected(g2) if is_connected(g2) else g1.n > 1 and bool(isolated_vertices(g2))
+        verdict = (g1.n > 1 or is_connected(g2)) and _fewest_isolated(g2) > 0
         return _SUPER_ANSWERS[verdict, "complete_left"]
     # the left factor's minimum-cut walk runs only when the verdict can be True
-    verdict = bool(isolated_vertices(g2)) and _min_cuts_isolate(g1)
-    return _SUPER_ANSWERS[verdict, _super_branch(g2, verdict)]
+    return _super_rule(g2, bool(isolated_vertices(g2)) and _fewest_isolated(g1) > 0)

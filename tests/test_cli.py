@@ -136,6 +136,11 @@ class TestCompute:
         assert code == EX_USAGE
         assert "zeta" in err
 
+    def test_no_invariants_is_usage_error(self, capsys, c4_file):
+        code, out, err = run_cli(capsys, "compute", c4_file, "--invariants", ",")
+        assert code == EX_USAGE and out == ""
+        assert "no invariants requested" in err
+
     @pytest.mark.parametrize("fmt", ["json", "plain", "csv"])
     def test_repeated_invariant_is_usage_error(self, capsys, c4_file, fmt):
         # plain and csv would print k twice, json once
@@ -211,6 +216,14 @@ class TestProduct:
         k2.write_text("2 1\n0 1\n")
         code, _, _ = run_cli(capsys, "product", str(empty), str(k2), str(tmp_path / "x.g6"))
         assert code == EX_INPUT
+
+    def test_output_in_a_missing_directory_is_input_error(self, capsys, tmp_path):
+        k2 = tmp_path / "k2.el"
+        k2.write_text("2 1\n0 1\n")
+        out_path = tmp_path / "missing" / "out.g6"
+        code, out, err = run_cli(capsys, "product", str(k2), str(k2), str(out_path))
+        assert code == EX_INPUT and out == ""
+        assert "cannot write" in err and str(out_path) in err
 
     def test_product_past_graph6_limit_is_input_error(self, capsys, tmp_path):
         # 2 by 200000 vertices is 400000, past the 258047 that graph6 encodes

@@ -173,6 +173,23 @@ class TestPredicateInputs:
         assert is_k1_vertex_cut(path_graph(6), (2, 2)) and not is_k1_vertex_cut(path_graph(6), (4,))
 
 
+class TestEmptyGraph:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda g: is_vertex_cut(g, ()), "the empty graph has no cuts"),
+            (lambda g: is_k1_vertex_cut(g, ()), "the empty graph has no cuts"),
+            (vertex_connectivity_oracle, "the empty graph has no cuts"),
+            (is_super_connected, "super connectivity of the empty graph is undefined"),
+        ],
+        ids=["is_vertex_cut", "is_k1_vertex_cut", "vertex_connectivity_oracle", "is_super_connected"],
+    )
+    def test_is_rejected(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call(empty_graph(0))
+        assert str(info.value) == message
+
+
 class TestIsK1VertexCut:
     def test_path_middle(self):
         assert is_k1_vertex_cut(path_graph(6), (2,))

@@ -121,6 +121,7 @@ class TestGraph:
         assert path_graph(3) == Graph(3, [(1, 2), (0, 1)])
         assert hash(path_graph(3)) == hash(Graph(3, [(1, 2), (0, 1)]))
         assert path_graph(3) != cycle_graph(3)
+        assert (Graph(1) == "x") is False
 
     def test_edges_sorted(self):
         assert cycle_graph(3).edges() == [(0, 1), (0, 2), (1, 2)]
@@ -193,6 +194,11 @@ def test_lift_min_cut_rejects_negative_ids():
     for ids in ([-1], [0, -3], [2, 1, -1]):
         with pytest.raises(ValueError, match="negative"):
             lift_min_cut(ids, 3)
+
+
+def test_cycles_need_three_vertices():
+    with pytest.raises(ValueError, match="a cycle needs at least 3 vertices"):
+        cycle_graph(2)
 
 
 def test_isolated_vertices_examples():

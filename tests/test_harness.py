@@ -85,6 +85,8 @@ class TestRandomGraph:
 
 class TestInstanceFamily:
     def test_exhaustive_budget(self):
+        with pytest.raises(ValueError, match="factor size bounds must be at least 1"):
+            InstanceFamily(0, 1)
         with pytest.raises(ValueError):
             InstanceFamily(7, 2)
         with pytest.raises(ValueError):

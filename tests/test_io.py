@@ -72,6 +72,8 @@ class TestEdgeList:
             ("", "header"),
             ("2 x\n0 1", "line 1"),
             ("# only a comment", "header"),
+            ("-1 0", "line 1: header values must be non-negative"),
+            ("2 1\n0 x", "line 2: edge must be two integers"),
         ],
     )
     def test_errors_name_lines(self, text, needle):
@@ -94,6 +96,10 @@ class TestEdgeList:
 class TestGraph6:
     def test_k2(self):
         assert serialize_graph6(complete_graph(2)) == "A_"
+
+    def test_past_the_vertex_limit_raises(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_VERTICES} vertices"):
+            serialize_graph6(Graph(MAX_VERTICES + 1))
 
     def test_two_isolated(self):
         g = parse_graph6("A?")

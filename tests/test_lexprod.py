@@ -91,6 +91,14 @@ class TestLexProduct:
         with pytest.raises(ValueError):
             lex_product(complete_graph(1), empty_graph(0))
 
+    @pytest.mark.parametrize("rule", [lex_connectivity, lex_k1_connectivity, lex_super_connected])
+    @pytest.mark.parametrize("empty_side", [0, 1], ids=["left", "right"])
+    def test_rules_reject_an_empty_factor(self, rule, empty_side):
+        factors = [complete_graph(2), complete_graph(2)]
+        factors[empty_side] = empty_graph(0)
+        with pytest.raises(ValueError, match="product factors must be non-empty"):
+            rule(*factors)
+
     @given(graphs(), graphs())
     def test_edge_count_identity(self, g1, g2):
         product = lex_product(g1, g2)
@@ -152,6 +160,10 @@ class TestLiftMinCut:
 
     def test_empty(self):
         assert lift_min_cut((), 5) == ()
+
+    def test_rejects_an_empty_right_factor(self):
+        with pytest.raises(ValueError, match="right factor must have at least one vertex"):
+            lift_min_cut((0,), 0)
 
     def test_bowtie_hub_rows(self):
         assert lift_min_cut((1,), 3) == (3, 4, 5)
@@ -241,9 +253,9 @@ class TestK1ProductFormula:
     def test_readings_differ_on_star(self):
         g2 = k2_plus_k1()
         left = scan_cuts(star_graph(3))
-        proof_reading = lexiconn.lexprod._k1_rule(left, g2, "min_cuts_only")
-        loose_reading = lexiconn.lexprod._k1_rule(left, g2, "all_cuts")
-        assert lexiconn.lexprod._k1_branch(left) == "cor24"
+        proof_reading, branch = lexiconn.lexprod._k1_rule(left, g2, "min_cuts_only")
+        loose_reading, loose_branch = lexiconn.lexprod._k1_rule(left, g2, "all_cuts")
+        assert branch == loose_branch == "cor24"
         assert proof_reading == ExtendedNat(6)
         assert loose_reading == ExtendedNat(4)
         # the oracle sides with the minimum-cut reading
@@ -319,7 +331,8 @@ class TestLexK1Connectivity:
             cuts = (c for c in (left.k1_cut, left.optimal_cut) if c is not None)
             witness = min((lift_k1_cut(g1, k1, c) for c in cuts), key=len)
             if is_k1_vertex_cut(product, witness):
-                expected = LexK1Result(ExtendedNat(len(witness)), lexiconn.lexprod._k1_branch(left), witness)
+                branch = lexiconn.lexprod._k1_rule(left, k1, "min_cuts_only")[1]
+                expected = LexK1Result(ExtendedNat(len(witness)), branch, witness)
             else:
                 scan = scan_cuts(product)
                 expected = LexK1Result(scan.k1, "oracle_fallback", scan.k1_cut)
@@ -366,8 +379,29 @@ class TestLexK1Connectivity:
             left = scan_cuts(g1)
             for g2 in rights:
                 result = lex_k1_connectivity(g1, g2)
-                assert result.branch == lexiconn.lexprod._k1_branch(left), (g1.edges(), g2.edges())
-                assert result.value == lexiconn.lexprod._k1_rule(left, g2, "min_cuts_only")
+                value, branch = lexiconn.lexprod._k1_rule(left, g2, "min_cuts_only")
+                assert result.branch == branch, (g1.edges(), g2.edges())
+                assert result.value == value
+
+    def test_a_witness_whose_size_is_not_the_rules_value_falls_back(self, monkeypatch):
+        # each lift checks out on its product, so only its size against the
+        # rule's value can send these answers to the product scan
+        pairs = [
+            (path_graph(6), path_graph(3)),
+            (mid_branch_fixture(), k2_plus_k1()),
+            (star_graph(3), complete_graph(2)),
+        ]
+        assert [lex_k1_connectivity(g1, g2).branch for g1, g2 in pairs] == ["thm22", "thm23", "cor24"]
+        rule = lexiconn.lexprod._k1_rule
+
+        def overestimate(left, g2, reading):
+            value, branch = rule(left, g2, reading)
+            return ExtendedNat(value.value + 1), branch
+
+        monkeypatch.setattr(lexiconn.lexprod, "_k1_rule", overestimate)
+        for g1, g2 in pairs:
+            scan = scan_cuts(lex_product(g1, g2))
+            assert lex_k1_connectivity(g1, g2) == LexK1Result(scan.k1, "oracle_fallback", scan.k1_cut), g1.edges()
 
     def test_complete_left_factor_is_exact(self):
         result = lex_k1_connectivity(complete_graph(3), path_graph(3))
